@@ -61,9 +61,8 @@ struct DiameterApproxResult {
 /// convention), provided the quotient diameter is exact.
 ///
 /// One exec::Context serves the whole pipeline: the decomposition's pooled
-/// growing engine and cached layouts, the quotient construction's shard
-/// reuse, and the all-pairs Dijkstra of the quotient diameter all run under
-/// it, and the context's StatsSink receives the per-phase cost breakdown
+/// growing engine and cached layouts run under it, and the context's
+/// StatsSink receives the per-phase cost breakdown
 /// (phases "decompose", "quotient", "diameter"; accumulated across runs on a
 /// reused context). The returned result is bit-identical with or without a
 /// context, and between fresh and reused contexts — the context-reuse A/B of

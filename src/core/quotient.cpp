@@ -1,20 +1,17 @@
 #include "core/quotient.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
-#include "exec/context.hpp"
-#include "graph/builder.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sweep.hpp"
-#include "util/bitpack.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace gdiam::core {
 
 QuotientGraph build_quotient(const Graph& g, const Clustering& clustering,
-                             exec::Context* ctx) {
+                             exec::Context* /*ctx*/) {
   const NodeId n = g.num_nodes();
   if (clustering.center_of.size() != n) {
     throw std::invalid_argument("build_quotient: clustering/graph mismatch");
@@ -27,80 +24,112 @@ QuotientGraph build_quotient(const Graph& g, const Clustering& clustering,
   // center node id -> cluster index (centers are sorted ascending).
   std::vector<NodeId> index_of_center(n, kInvalidNode);
   for (NodeId i = 0; i < k; ++i) {
+    if (clustering.centers[i] >= n) {
+      throw std::invalid_argument("build_quotient: center out of range");
+    }
     index_of_center[clustering.centers[i]] = i;
   }
-  // Membership + radii in one parallel sweep. Radii are max-reductions over
-  // order-encoded doubles (util/bitpack.hpp), so the result is the exact
-  // max regardless of thread interleaving — no floating-point accumulation.
   out.cluster_of_node.resize(n);
-  std::vector<std::uint64_t> radius_bits(k, util::double_order_bits(0.0));
-#pragma omp parallel for schedule(static, 4096)
+  bool orphan = false;
+#pragma omp parallel for schedule(static, 4096) reduction(|| : orphan)
   for (NodeId u = 0; u < n; ++u) {
-    const NodeId cu = index_of_center[clustering.center_of[u]];
+    const NodeId center = clustering.center_of[u];
+    const NodeId cu = center < n ? index_of_center[center] : kInvalidNode;
     out.cluster_of_node[u] = cu;
-    util::atomic_fetch_max(
-        radius_bits[cu],
-        util::double_order_bits(clustering.dist_to_center[u]));
+    orphan = orphan || cu == kInvalidNode;
   }
-  out.cluster_radius.resize(k);
-  for (NodeId c = 0; c < k; ++c) {
-    out.cluster_radius[c] = util::double_from_order_bits(radius_bits[c]);
+  if (orphan) {
+    throw std::invalid_argument("build_quotient: node outside every cluster");
   }
 
-  // Inter-cluster edge scan over the whole edge set. Each thread emits into
-  // its own buffer; GraphBuilder's sort+dedup makes the final quotient
-  // independent of emission order, so the result is bit-identical to the
-  // serial construction — and independent of which layout is scanned. When
-  // the context already holds a shard layout for g (a partitioned CLUSTER
-  // run on the same context built one), the scan walks the shards' owned
-  // arcs — every directed arc lives in exactly its source's shard, so the
-  // u < v filter sees each undirected edge exactly once, like the flat scan.
-  util::ThreadBuffers<Edge> cut_edges;
-  const mr::Partition* part = ctx != nullptr ? ctx->find_partition(g) : nullptr;
-  if (part != nullptr && part->num_partitions() > 1) {
-    // Shards in sequence, nodes within a shard in parallel: parallelism stays
-    // O(n) like the flat scan even when K is far below the thread count (a
-    // parallel-over-shards loop would cap the O(m) scan at K threads).
-    for (const mr::Shard& sh : part->shards()) {
-#pragma omp parallel for schedule(dynamic, 1024)
-      for (NodeId l = 0; l < sh.num_owned; ++l) {
-        const NodeId u = sh.global_of_local[l];
-        const NodeId cu = out.cluster_of_node[u];
-        auto& buf = cut_edges.local();
-        for (EdgeIndex i = sh.offsets[l]; i < sh.offsets[l + 1]; ++i) {
-          const NodeId v = sh.global_of_local[sh.targets[i]];
-          if (u >= v) continue;  // each undirected edge once
-          const NodeId cv = out.cluster_of_node[v];
-          if (cu == cv) continue;  // intra-cluster edges vanish
-          buf.push_back(Edge{cu, cv,
-                             sh.weights[i] + clustering.dist_to_center[u] +
-                                 clustering.dist_to_center[v]});
+  // Members grouped by cluster (counting sort, ascending ids per cluster).
+  std::vector<NodeId> member_start(static_cast<std::size_t>(k) + 1, 0);
+  for (NodeId u = 0; u < n; ++u) ++member_start[out.cluster_of_node[u] + 1];
+  for (NodeId c = 0; c < k; ++c) member_start[c + 1] += member_start[c];
+  std::vector<NodeId> members(n);
+  {
+    std::vector<NodeId> cursor(member_start.begin(), member_start.end() - 1);
+    for (NodeId u = 0; u < n; ++u) {
+      members[cursor[out.cluster_of_node[u]]++] = u;
+    }
+  }
+
+  // Cluster-major rows: row c of G_C is the set of clusters its members'
+  // arcs reach, each at the minimum cut weight w(u,v) + d_u + d_v (the
+  // paper's parallel-edge rule). A counting pass sizes the rows (and takes
+  // the radii), a prefix sum places them, a fill pass writes them sorted.
+  // Each row is a pure function of its cluster, so the CSR arrays do not
+  // depend on the schedule. Both arcs of a cut edge compute the same weight:
+  // the CSR stores symmetric weights, and the d-terms are added in id order.
+  const NodeId* cluster_of = out.cluster_of_node.data();
+  const Weight* d = clustering.dist_to_center.data();
+  out.cluster_radius.assign(k, 0.0);
+  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(k) + 1, 0);
+  std::vector<NodeId> targets;
+  std::vector<Weight> weights;
+  bool bad_weight = false;
+#pragma omp parallel reduction(|| : bad_weight)
+  {
+    // Per-thread dense scratch: stamp[x] == c marks cluster x as already in
+    // row c's touched list, so nothing is cleared between rows.
+    std::vector<Weight> best(k);
+    std::vector<NodeId> stamp(k, kInvalidNode);
+    std::vector<NodeId> touched;
+    const auto scan_row = [&](NodeId c, bool weigh) {
+      touched.clear();
+      for (NodeId i = member_start[c]; i < member_start[c + 1]; ++i) {
+        const NodeId u = members[i];
+        const auto nbr = g.neighbors(u);
+        const auto wts = g.weights(u);
+        for (std::size_t j = 0; j < nbr.size(); ++j) {
+          const NodeId v = nbr[j];
+          const NodeId cv = cluster_of[v];
+          if (cv == c) continue;  // intra-cluster edges vanish
+          if (stamp[cv] != c) {
+            stamp[cv] = c;
+            touched.push_back(cv);
+            best[cv] = kInfiniteWeight;
+          }
+          if (!weigh) continue;
+          const Weight w = wts[j] + d[std::min(u, v)] + d[std::max(u, v)];
+          bad_weight = bad_weight || !(w > 0.0) || !std::isfinite(w);
+          best[cv] = std::min(best[cv], w);
         }
       }
+    };
+
+#pragma omp for schedule(dynamic, 16)
+    for (NodeId c = 0; c < k; ++c) {
+      scan_row(c, false);
+      offsets[c + 1] = touched.size();
+      Weight r = 0.0;
+      for (NodeId i = member_start[c]; i < member_start[c + 1]; ++i) {
+        r = std::max(r, d[members[i]]);
+      }
+      out.cluster_radius[c] = r;
     }
-  } else {
-#pragma omp parallel for schedule(dynamic, 1024)
-    for (NodeId u = 0; u < n; ++u) {
-      const auto nbr = g.neighbors(u);
-      const auto wts = g.weights(u);
-      const NodeId cu = out.cluster_of_node[u];
-      auto& buf = cut_edges.local();
-      for (std::size_t i = 0; i < nbr.size(); ++i) {
-        const NodeId v = nbr[i];
-        if (u >= v) continue;  // each undirected edge once
-        const NodeId cv = out.cluster_of_node[v];
-        if (cu == cv) continue;  // intra-cluster edges vanish
-        // Inter-cluster weight w(u,v) + d_u + d_v; GraphBuilder keeps the
-        // minimum over parallel edges (the paper's rule).
-        buf.push_back(Edge{cu, cv,
-                           wts[i] + clustering.dist_to_center[u] +
-                               clustering.dist_to_center[v]});
+#pragma omp single
+    {
+      for (NodeId c = 0; c < k; ++c) offsets[c + 1] += offsets[c];
+      targets.resize(offsets[k]);
+      weights.resize(offsets[k]);
+    }
+    std::fill(stamp.begin(), stamp.end(), kInvalidNode);
+#pragma omp for schedule(dynamic, 16)
+    for (NodeId c = 0; c < k; ++c) {
+      scan_row(c, true);
+      std::sort(touched.begin(), touched.end());
+      for (std::size_t i = 0; i < touched.size(); ++i) {
+        targets[offsets[c] + i] = touched[i];
+        weights[offsets[c] + i] = best[touched[i]];
       }
     }
   }
-  GraphBuilder b(k);
-  b.add_edges(cut_edges.gather());
-  out.graph = b.build_parallel();
+  if (bad_weight) {
+    throw std::invalid_argument(
+        "build_quotient: cut weight must be positive and finite");
+  }
+  out.graph = Graph(std::move(offsets), std::move(targets), std::move(weights));
   return out;
 }
 
@@ -165,8 +194,8 @@ QuotientDiametersResult quotient_diameters(
     return e;
   };
 
+  Weight plain = 0.0, augmented = out.augmented;
   if (k <= opts.exact_threshold) {
-    Weight plain = 0.0, augmented = out.augmented;
 #pragma omp parallel for schedule(dynamic, 16) \
     reduction(max : plain, augmented)
     for (NodeId c = 0; c < k; ++c) {
@@ -182,22 +211,31 @@ QuotientDiametersResult quotient_diameters(
 
   // Large quotient: iterated sweeps (augmented metric drives the farthest
   // hop), restarting from several seeds so disconnected quotients are
-  // probed too.
+  // probed too. The seeds are drawn up front in stream order; the restart
+  // chains are independent and max is exact, so running them concurrently
+  // gives the serial loop's result at any thread count.
   util::Xoshiro256 rng(opts.seed);
-  for (unsigned r = 0; r < std::max(1u, opts.restarts); ++r) {
-    NodeId source = static_cast<NodeId>(rng.next_bounded(k));
+  std::vector<NodeId> seeds(std::max(1u, opts.restarts));
+  for (NodeId& s : seeds) s = static_cast<NodeId>(rng.next_bounded(k));
+  const unsigned sweeps = std::max(1u, opts.sweeps);
+#pragma omp parallel for schedule(dynamic, 1) \
+    reduction(max : plain, augmented)
+  for (std::size_t r = 0; r < seeds.size(); ++r) {
+    NodeId source = seeds[r];
     std::vector<NodeId> visited;
-    for (unsigned s = 0; s < std::max(1u, opts.sweeps); ++s) {
+    for (unsigned s = 0; s < sweeps; ++s) {
       if (std::find(visited.begin(), visited.end(), source) != visited.end()) {
         break;
       }
       visited.push_back(source);
       const Ecc e = both_ecc(source);
-      out.plain = std::max(out.plain, e.plain);
-      out.augmented = std::max(out.augmented, e.augmented);
+      plain = std::max(plain, e.plain);
+      augmented = std::max(augmented, e.augmented);
       source = e.far;
     }
   }
+  out.plain = plain;
+  out.augmented = augmented;
   out.exact = false;
   return out;
 }

@@ -31,12 +31,16 @@ struct QuotientGraph {
   std::vector<Weight> cluster_radius;
 };
 
-/// Builds G_C from a clustering of g. When `ctx` (exec/context.hpp) holds a
-/// cached shard layout for g — a partitioned CLUSTER run on the same context
-/// leaves one behind — the inter-cluster edge scan walks the shards' owned
-/// arcs instead of the flat CSR, reusing the layout the decomposition paid
-/// for; the quotient is bit-identical either way (GraphBuilder's sort+dedup
-/// makes the result independent of emission order).
+/// Builds G_C from a clustering of g in linear work: nodes are
+/// counting-sorted by cluster, then each cluster's row is gathered from its
+/// members' arcs (minimum cut weight per neighbouring cluster) in parallel
+/// over clusters and written straight into the CSR arrays. The output is a
+/// pure function of (g, clustering) — bit-identical at any thread count and
+/// to a GraphBuilder sort+dedup of the cut edges. Relies on g's symmetric
+/// weights (a GraphBuilder / .gcsr invariant). Throws std::invalid_argument
+/// when the clustering does not cover g or a cut weight is not positive and
+/// finite. `ctx` no longer selects a scan path; it is kept for callers that
+/// thread one context through the whole pipeline.
 [[nodiscard]] QuotientGraph build_quotient(const Graph& g,
                                            const Clustering& clustering,
                                            exec::Context* ctx = nullptr);
@@ -45,8 +49,10 @@ struct QuotientDiameterOptions {
   /// Up to this many quotient nodes the diameter is computed exactly
   /// (all-pairs Dijkstra, parallel over sources).
   NodeId exact_threshold = 2048;
-  /// Iterated-sweep budget for larger quotients; restarts from several seed
-  /// nodes so disconnected quotients are probed too.
+  /// Iterated-sweep budget for larger quotients: `restarts` independent
+  /// chains of up to `sweeps` Dijkstras each, seeded from `seed`'s stream so
+  /// disconnected quotients are probed too. The chains run concurrently;
+  /// the result does not depend on the thread count.
   unsigned sweeps = 16;
   unsigned restarts = 4;
   std::uint64_t seed = 1;

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include <omp.h>
-
 namespace gdiam {
 
 namespace {
@@ -20,45 +18,11 @@ bool arc_less(const Edge& a, const Edge& b) noexcept {
   return a.w < b.w;
 }
 
-/// OpenMP chunked merge sort with the same total order as std::sort —
-/// identical output for any input (equal arcs are indistinguishable).
-void parallel_sort_arcs(std::vector<Edge>& arcs) {
-  const auto threads = static_cast<std::size_t>(omp_get_max_threads());
-  if (arcs.size() < (1u << 15)) {
-    std::sort(arcs.begin(), arcs.end(), arc_less);
-    return;
-  }
-  // At least 4 chunks even single-threaded: the merge tree then runs (and is
-  // tested) everywhere, and its serial overhead over one big sort is noise.
-  std::size_t chunks = 4;
-  while (chunks < threads && chunks < 64) chunks <<= 1;
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) {
-    bounds[c] = arcs.size() * c / chunks;
-  }
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::sort(arcs.begin() + bounds[c], arcs.begin() + bounds[c + 1],
-              arc_less);
-  }
-  for (std::size_t width = 1; width < chunks; width *= 2) {
-#pragma omp parallel for schedule(dynamic, 1)
-    for (std::size_t c = 0; c < chunks; c += 2 * width) {
-      const std::size_t mid = c + width;
-      const std::size_t end = std::min(c + 2 * width, chunks);
-      if (mid < end) {
-        std::inplace_merge(arcs.begin() + bounds[c], arcs.begin() + bounds[mid],
-                           arcs.begin() + bounds[end], arc_less);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 GraphBuilder::GraphBuilder(NodeId num_nodes) : n_(num_nodes) {}
 
-void GraphBuilder::check_edge(NodeId u, NodeId v, Weight w) const {
+void GraphBuilder::add_edge(NodeId u, NodeId v, Weight w) {
   if (u >= n_ || v >= n_) {
     throw std::out_of_range("GraphBuilder: node id out of range");
   }
@@ -66,10 +30,6 @@ void GraphBuilder::check_edge(NodeId u, NodeId v, Weight w) const {
     throw std::invalid_argument(
         "GraphBuilder: weight must be positive and finite");
   }
-}
-
-void GraphBuilder::add_edge(NodeId u, NodeId v, Weight w) {
-  check_edge(u, v, w);
   if (u == v) return;  // self-loops never affect shortest paths
   edges_.push_back(Edge{u, v, w});
 }
@@ -79,18 +39,9 @@ void GraphBuilder::add_edges(const EdgeList& edges) {
   for (const Edge& e : edges) add_edge(e.u, e.v, e.w);
 }
 
-void GraphBuilder::add_edges(EdgeList&& edges) {
-  if (edges_.empty()) {
-    // Validate in place (same rules as add_edge), then adopt the storage.
-    for (const Edge& e : edges) check_edge(e.u, e.v, e.w);
-    std::erase_if(edges, [](const Edge& e) { return e.u == e.v; });
-    edges_ = std::move(edges);
-    return;
-  }
-  add_edges(edges);
-}
-
-std::vector<Edge> GraphBuilder::materialize_arcs() {
+Graph GraphBuilder::build() {
+  // Materialize both arc directions, then sort and deduplicate keeping the
+  // minimum weight for parallel edges.
   std::vector<Edge> arcs;
   arcs.reserve(edges_.size() * 2);
   for (const Edge& e : edges_) {
@@ -99,10 +50,7 @@ std::vector<Edge> GraphBuilder::materialize_arcs() {
   }
   edges_.clear();
   edges_.shrink_to_fit();
-  return arcs;
-}
-
-Graph GraphBuilder::emit_sorted(std::vector<Edge> arcs) const {
+  std::sort(arcs.begin(), arcs.end(), arc_less);
   arcs.erase(std::unique(arcs.begin(), arcs.end(),
                          [](const Edge& a, const Edge& b) {
                            return a.u == b.u && a.v == b.v;
@@ -120,20 +68,6 @@ Graph GraphBuilder::emit_sorted(std::vector<Edge> arcs) const {
     weights[i] = arcs[i].w;
   }
   return Graph(std::move(offsets), std::move(targets), std::move(weights));
-}
-
-Graph GraphBuilder::build() {
-  // Materialize both arc directions, then sort and deduplicate keeping the
-  // minimum weight for parallel edges.
-  std::vector<Edge> arcs = materialize_arcs();
-  std::sort(arcs.begin(), arcs.end(), arc_less);
-  return emit_sorted(std::move(arcs));
-}
-
-Graph GraphBuilder::build_parallel() {
-  std::vector<Edge> arcs = materialize_arcs();
-  parallel_sort_arcs(arcs);
-  return emit_sorted(std::move(arcs));
 }
 
 Graph build_graph(NodeId num_nodes, const EdgeList& edges) {

@@ -24,11 +24,6 @@ class GraphBuilder {
 
   void add_edges(const EdgeList& edges);
 
-  /// Moves a pre-validated batch in without the per-edge copy (used by the
-  /// parallel quotient construction, whose edges are derived from an already
-  /// validated graph). Each edge still goes through add_edge's checks.
-  void add_edges(EdgeList&& edges);
-
   [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
 
   /// Number of arcs accumulated so far (before dedup).
@@ -40,19 +35,7 @@ class GraphBuilder {
   /// The builder is left empty and reusable.
   [[nodiscard]] Graph build();
 
-  /// Same output as build() — bit-identical CSR arrays for any insertion
-  /// order — but the dominant sort runs as an OpenMP chunked merge sort.
-  /// Worth it from ~10⁵ arcs; build_quotient uses it every round.
-  [[nodiscard]] Graph build_parallel();
-
  private:
-  /// The shared edge-acceptance rules (range + positive finite weight);
-  /// throws on violation. Self-loop dropping happens at the call sites.
-  void check_edge(NodeId u, NodeId v, Weight w) const;
-  /// Symmetrized arc list (both directions), leaving the builder empty.
-  [[nodiscard]] std::vector<Edge> materialize_arcs();
-  /// Dedup (min weight per ordered pair) + CSR emission of sorted arcs.
-  [[nodiscard]] Graph emit_sorted(std::vector<Edge> arcs) const;
 
   NodeId n_;
   EdgeList edges_;

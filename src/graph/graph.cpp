@@ -121,18 +121,32 @@ void Graph::compute_weight_stats() noexcept {
     min_weight_ = max_weight_ = avg_weight_ = 0.0;
     return;
   }
-  Weight mn = kInfiniteWeight, mx = 0.0, sum = 0.0;
+  // The sum runs over fixed-size blocks whose partial sums are added
+  // serially in block order: the block size does not depend on the thread
+  // count, so avg_weight (the default Δ) is the same double at any thread
+  // count. A reduction(+) would add the partials in arrival order.
+  constexpr std::size_t kBlock = std::size_t{1} << 14;
+  const std::size_t m = weights_v_.size();
+  std::vector<Weight> block_sum((m + kBlock - 1) / kBlock);
+  Weight mn = kInfiniteWeight, mx = 0.0;
   const Weight* w = weights_v_.data();
 #pragma omp parallel for reduction(min : mn) reduction(max : mx) \
-    reduction(+ : sum) schedule(static)
-  for (std::size_t i = 0; i < weights_v_.size(); ++i) {
-    mn = std::min(mn, w[i]);
-    mx = std::max(mx, w[i]);
-    sum += w[i];
+    schedule(static)
+  for (std::size_t b = 0; b < block_sum.size(); ++b) {
+    const std::size_t end = std::min(m, (b + 1) * kBlock);
+    Weight sum = 0.0;
+    for (std::size_t i = b * kBlock; i < end; ++i) {
+      mn = std::min(mn, w[i]);
+      mx = std::max(mx, w[i]);
+      sum += w[i];
+    }
+    block_sum[b] = sum;
   }
+  Weight sum = 0.0;
+  for (const Weight s : block_sum) sum += s;
   min_weight_ = mn;
   max_weight_ = mx;
-  avg_weight_ = sum / static_cast<Weight>(weights_v_.size());
+  avg_weight_ = sum / static_cast<Weight>(m);
 }
 
 bool Graph::validate() const {

@@ -37,20 +37,6 @@ inline bool atomic_fetch_min(std::uint64_t& slot, std::uint64_t value) noexcept 
   return false;
 }
 
-/// Atomically raises `slot` to `value` if `value` is larger; the max-reduction
-/// dual of atomic_fetch_min (used for cluster radii over order-encoded
-/// doubles, see util/bitpack.hpp). Returns true when the store happened.
-inline bool atomic_fetch_max(std::uint64_t& slot, std::uint64_t value) noexcept {
-  std::atomic_ref<std::uint64_t> ref(slot);
-  std::uint64_t cur = ref.load(std::memory_order_relaxed);
-  while (value > cur) {
-    if (ref.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Per-thread append buffers that concatenate deterministically
 /// (in thread-id order) into one vector. Used to collect frontier nodes and
 /// relaxation requests from parallel loops without locks.

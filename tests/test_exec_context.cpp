@@ -267,8 +267,8 @@ TEST(ExecContext, InterleavedKernelsStayIndependent) {
   }
 }
 
-// The quotient edge scan over a cached shard layout must produce the
-// bit-identical quotient graph to the flat scan.
+// A context holding a cached shard layout must not change the quotient:
+// build_quotient with and without it is bit-identical.
 TEST(ExecContext, QuotientShardScanMatchesFlatScan) {
   for (const std::uint32_t k : {2u, 7u}) {
     const Graph g = test::make_family(Family::kGnmUniform, 200, 43);

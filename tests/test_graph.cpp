@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace gdiam {
 namespace {
@@ -44,6 +46,30 @@ TEST(Graph, WeightStats) {
   EXPECT_DOUBLE_EQ(g.min_weight(), 1.0);
   EXPECT_DOUBLE_EQ(g.max_weight(), 3.0);
   EXPECT_DOUBLE_EQ(g.avg_weight(), 2.0);
+}
+
+TEST(Graph, AvgWeightIndependentOfThreadCount) {
+  // Many blocks of weights that are not exact in binary: the mean (the
+  // default Δ) must come out as the same double at every thread count.
+  std::vector<EdgeIndex> offsets{0};
+  std::vector<NodeId> targets;
+  std::vector<Weight> weights;
+  for (NodeId u = 0; u < 40000; ++u) {
+    for (NodeId j = 0; j < 3; ++j) {
+      targets.push_back((u + j + 1) % 40000);
+      weights.push_back(0.1 * static_cast<Weight>(1 + (u * 7 + j) % 13));
+    }
+    offsets.push_back(targets.size());
+  }
+  const int prev = util::num_threads();
+  util::set_num_threads(1);
+  const Weight single = Graph(offsets, targets, weights).avg_weight();
+  for (const int threads : {2, 3, 4, 7}) {
+    util::set_num_threads(threads);
+    EXPECT_EQ(Graph(offsets, targets, weights).avg_weight(), single)
+        << "threads=" << threads;
+  }
+  util::set_num_threads(prev);
 }
 
 TEST(Graph, NeighborsAlignedWithWeights) {

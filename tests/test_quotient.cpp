@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/quotient.hpp"
@@ -14,6 +18,8 @@
 #include "graph/ops.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace gdiam::core {
 namespace {
@@ -101,9 +107,9 @@ TEST(Quotient, IntraClusterEdgesVanish) {
 }
 
 // ---------------------------------------------------------------------------
-// The parallel construction (OpenMP edge scan + atomic-max radii + parallel
-// sort) must reproduce the straightforward serial build bit-for-bit:
-// identical quotient CSR arrays, membership and radii.
+// The cluster-major construction (counting sort by cluster, per-cluster rows
+// in parallel) must reproduce the straightforward serial build bit-for-bit:
+// identical quotient CSR arrays, membership and radii, at any thread count.
 
 QuotientGraph serial_reference_quotient(const Graph& g, const Clustering& c) {
   QuotientGraph out;
@@ -136,47 +142,128 @@ QuotientGraph serial_reference_quotient(const Graph& g, const Clustering& c) {
   return out;
 }
 
+/// Thread counts every parity test runs at: one, and at least four so the
+/// dynamic schedules interleave even on a small machine.
+std::vector<int> parity_thread_counts() {
+  return {1, std::max(4, util::num_threads())};
+}
+
+/// build_quotient at every parity thread count against the serial reference.
+void expect_matches_reference(const Graph& g, const Clustering& c,
+                              const std::string& what) {
+  const QuotientGraph ref = serial_reference_quotient(g, c);
+  const int prev = util::num_threads();
+  for (const int threads : parity_thread_counts()) {
+    util::set_num_threads(threads);
+    const QuotientGraph got = build_quotient(g, c);
+    const std::string where = what + " threads=" + std::to_string(threads);
+    EXPECT_EQ(ref.cluster_of_node, got.cluster_of_node) << where;
+    EXPECT_EQ(ref.cluster_radius, got.cluster_radius) << where;  // exact
+    EXPECT_EQ(ref.center_of_cluster, got.center_of_cluster) << where;
+    EXPECT_EQ(test::vec(ref.graph.offsets()), test::vec(got.graph.offsets()))
+        << where;
+    EXPECT_EQ(test::vec(ref.graph.targets()), test::vec(got.graph.targets()))
+        << where;
+    EXPECT_EQ(test::vec(ref.graph.edge_weights()),
+              test::vec(got.graph.edge_weights()))
+        << where;
+  }
+  util::set_num_threads(prev);
+}
+
+Clustering single_cluster(const Graph& g) {
+  Clustering c;
+  c.center_of.assign(g.num_nodes(), 0);
+  c.dist_to_center.resize(g.num_nodes());
+  const auto dist = sssp::dijkstra_distances(g, 0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    c.dist_to_center[u] = dist[u] == kInfiniteWeight ? 0.0 : dist[u];
+  }
+  c.centers = {0};
+  return c;
+}
+
+/// Two family graphs side by side plus an isolated node.
+Graph disconnected_graph(std::uint64_t seed) {
+  const Graph a = test::make_family(Family::kMeshUniform, 120, seed);
+  const Graph b = test::make_family(Family::kRmatGiant, 150, seed + 1);
+  const NodeId shift = a.num_nodes();
+  GraphBuilder builder(shift + b.num_nodes() + 1);
+  builder.add_edges(to_edge_list(a));
+  for (const Edge& e : to_edge_list(b)) {
+    builder.add_edge(e.u + shift, e.v + shift, e.w);
+  }
+  return builder.build();
+}
+
 TEST(QuotientParallel, BitIdenticalToSerialReferenceOnAllFamilies) {
   for (const Family family : test::all_families()) {
     const Graph g = test::make_family(family, 220, 19);
-    ClusterOptions opts;
-    opts.tau = 4;
-    opts.seed = 29;
-    opts.stop_factor = 2.0;
-    const Clustering c = cluster(g, opts);
-
-    const QuotientGraph a = serial_reference_quotient(g, c);
-    const QuotientGraph b = build_quotient(g, c);
-    EXPECT_EQ(a.cluster_of_node, b.cluster_of_node)
-        << test::family_name(family);
-    EXPECT_EQ(a.cluster_radius, b.cluster_radius);  // exact, not approximate
-    EXPECT_EQ(a.center_of_cluster, b.center_of_cluster);
-    EXPECT_EQ(test::vec(a.graph.offsets()), test::vec(b.graph.offsets()));
-    EXPECT_EQ(test::vec(a.graph.targets()), test::vec(b.graph.targets()));
-    EXPECT_EQ(test::vec(a.graph.edge_weights()),
-              test::vec(b.graph.edge_weights()));
+    const std::string name = test::family_name(family);
+    for (const std::uint32_t tau : {1u, 4u, 16u}) {
+      ClusterOptions opts;
+      opts.tau = tau;
+      opts.seed = 29;
+      opts.stop_factor = 2.0;
+      expect_matches_reference(g, cluster(g, opts),
+                               name + " tau=" + std::to_string(tau));
+    }
+    expect_matches_reference(g, identity_clustering(g), name + " identity");
+    expect_matches_reference(g, single_cluster(g), name + " single");
   }
+  const Graph g = disconnected_graph(7);
+  for (const std::uint32_t tau : {1u, 4u, 16u}) {
+    ClusterOptions opts;
+    opts.tau = tau;
+    opts.seed = 3;
+    expect_matches_reference(g, cluster(g, opts),
+                             "disconnected tau=" + std::to_string(tau));
+  }
+  expect_matches_reference(g, identity_clustering(g), "disconnected identity");
 }
 
-TEST(QuotientParallel, BuildParallelMatchesBuildOnAdversarialInput) {
-  // Duplicates, parallel edges with distinct weights, both orientations —
-  // the dedup rule (min weight per pair) must come out identical.
+TEST(QuotientParallel, ManyCutEdgesPerClusterPairKeepTheMinimum) {
+  // Six clusters over 300 nodes and ~50k random edges: every cluster pair
+  // is hit by thousands of cut edges, many with equal weights. Weights and
+  // center distances are multiples of 0.1 and 0.01 (not exact in binary),
+  // so w + d_u + d_v rounds differently depending on the summation order —
+  // the build must pick the same minimum, with the same rounding, as the
+  // sort+dedup reference.
+  constexpr NodeId n = 300;
+  constexpr NodeId k = 6;
   util::Xoshiro256 rng(101);
-  GraphBuilder serial(300);
-  GraphBuilder parallel(300);
+  GraphBuilder b(n);
   for (int i = 0; i < 50000; ++i) {
-    const auto u = static_cast<NodeId>(rng.next_bounded(300));
-    const auto v = static_cast<NodeId>(rng.next_bounded(300));
+    const auto u = static_cast<NodeId>(rng.next_bounded(n));
+    const auto v = static_cast<NodeId>(rng.next_bounded(n));
     if (u == v) continue;
-    const Weight w = 1.0 + static_cast<Weight>(rng.next_bounded(8));
-    serial.add_edge(u, v, w);
-    parallel.add_edge(u, v, w);
+    b.add_edge(u, v, 0.1 * static_cast<Weight>(1 + rng.next_bounded(8)));
   }
-  const Graph a = serial.build();
-  const Graph b = parallel.build_parallel();
-  EXPECT_EQ(test::vec(a.offsets()), test::vec(b.offsets()));
-  EXPECT_EQ(test::vec(a.targets()), test::vec(b.targets()));
-  EXPECT_EQ(test::vec(a.edge_weights()), test::vec(b.edge_weights()));
+  const Graph g = b.build();
+  Clustering c;
+  c.center_of.resize(n);
+  c.dist_to_center.resize(n);
+  for (NodeId u = 0; u < n; ++u) {
+    c.center_of[u] = u % k;
+    c.dist_to_center[u] =
+        u < k ? 0.0 : 0.01 * static_cast<Weight>(1 + rng.next_bounded(97));
+  }
+  for (NodeId i = 0; i < k; ++i) c.centers.push_back(i);
+  expect_matches_reference(g, c, "adversarial");
+
+  const QuotientGraph q = build_quotient(g, c);
+  EXPECT_EQ(q.graph.num_edges(), k * (k - 1) / 2);  // complete: all pairs hit
+  EXPECT_TRUE(q.graph.is_symmetric());
+}
+
+TEST(QuotientParallel, RejectsInvalidClusterings) {
+  const Graph g = gen::path(4);
+  Clustering c = identity_clustering(g);
+  c.center_of[2] = kInvalidNode;  // node outside every cluster
+  EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
+  c = identity_clustering(g);
+  c.dist_to_center[1] = kInfiniteWeight;  // cut weight not finite
+  EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,6 +392,76 @@ TEST(QuotientDiameters, SweepPathMatchesExactOnPathQuotient) {
   EXPECT_FALSE(both.exact);
   EXPECT_DOUBLE_EQ(both.plain, 499.0);
   EXPECT_DOUBLE_EQ(both.augmented, 499.0);
+}
+
+/// The sweep path as a serial loop: restart chains one after another, each
+/// seed drawn from the stream just before its chain runs.
+QuotientDiametersResult serial_reference_sweeps(
+    const QuotientGraph& quotient, const QuotientDiameterOptions& opts) {
+  QuotientDiametersResult out;
+  const Graph& q = quotient.graph;
+  const NodeId k = q.num_nodes();
+  const std::vector<Weight>& radius = quotient.cluster_radius;
+  for (const Weight r : radius) out.augmented = std::max(out.augmented, 2.0 * r);
+  util::Xoshiro256 rng(opts.seed);
+  for (unsigned r = 0; r < std::max(1u, opts.restarts); ++r) {
+    auto source = static_cast<NodeId>(rng.next_bounded(k));
+    std::vector<NodeId> visited;
+    for (unsigned s = 0; s < std::max(1u, opts.sweeps); ++s) {
+      if (std::find(visited.begin(), visited.end(), source) != visited.end()) {
+        break;
+      }
+      visited.push_back(source);
+      const auto dist = sssp::dijkstra_distances(q, source);
+      NodeId far = source;
+      Weight aug_ecc = 0.0;
+      for (NodeId j = 0; j < k; ++j) {
+        if (dist[j] == kInfiniteWeight) continue;
+        out.plain = std::max(out.plain, dist[j]);
+        if (dist[j] + radius[j] > aug_ecc) {
+          aug_ecc = dist[j] + radius[j];
+          far = j;
+        }
+      }
+      out.augmented = std::max(out.augmented, aug_ecc + radius[source]);
+      source = far;
+    }
+  }
+  return out;
+}
+
+TEST(QuotientDiameters, ParallelRestartsMatchSerialLoop) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const Family family : test::all_families()) {
+    graphs.emplace_back(test::family_name(family),
+                        test::make_family(family, 400, 23));
+  }
+  graphs.emplace_back("disconnected", disconnected_graph(11));
+  const int prev = util::num_threads();
+  for (const auto& [name, g] : graphs) {
+    ClusterOptions copts;
+    copts.tau = 4;
+    copts.seed = 17;
+    const QuotientGraph q = build_quotient(g, cluster(g, copts));
+    for (const unsigned restarts : {1u, 4u, 7u}) {
+      QuotientDiameterOptions qopts;
+      qopts.exact_threshold = 1;  // force the sweep path
+      qopts.restarts = restarts;
+      qopts.seed = 5 + restarts;
+      const QuotientDiametersResult ref = serial_reference_sweeps(q, qopts);
+      for (const int threads : parity_thread_counts()) {
+        util::set_num_threads(threads);
+        const QuotientDiametersResult got = quotient_diameters(q, qopts);
+        const std::string what = name + " restarts=" +
+                                 std::to_string(restarts) +
+                                 " threads=" + std::to_string(threads);
+        EXPECT_FALSE(got.exact) << what;
+        EXPECT_EQ(got.plain, ref.plain) << what;
+        EXPECT_EQ(got.augmented, ref.augmented) << what;
+      }
+      util::set_num_threads(prev);
+    }
+  }
 }
 
 TEST(QuotientDiameter, DisconnectedQuotientUsesLargestIntraComponentDistance) {
