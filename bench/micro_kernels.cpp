@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <bit>
-#include <cmath>
 
 #include "core/cluster.hpp"
 #include "core/diameter.hpp"
@@ -116,18 +115,6 @@ void BM_RelaxLightSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_RelaxLightSplit)->Unit(benchmark::kMillisecond);
 
-// End-to-end view of the same choice: whole Δ-stepping runs with the
-// presplit layout on vs off.
-void BM_DeltaSteppingPresplitOff(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.presplit = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o));
-  }
-}
-BENCHMARK(BM_DeltaSteppingPresplitOff)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // Sparse-vs-dense A/B for per-round frontier maintenance — the tentpole of
 // the adaptive frontier engine, measured in isolation. Both kernels run the
@@ -162,7 +149,7 @@ void BM_FrontierSparse(benchmark::State& state) {
   const Graph& g = road_graph();
   const NodeId n = g.num_nodes();
   core::FrontierOptions fo;
-  fo.adaptive = false;  // pin the sparse representation for the A/B
+  fo.dense_fraction = 1.0;  // pin the sparse representation for the A/B
   core::Frontier frontier(n, fo);
   std::vector<std::uint32_t> hop(n);
   std::uint64_t waves = 0;
@@ -225,11 +212,9 @@ void BM_FrontierDense(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierDense)->Unit(benchmark::kMillisecond);
 
-// Whole-run adaptive on/off A/B: the sparse-heavy road family is where the
-// frontier engine and the RoundBuffers pool pay off; dense-heavy rmat runs
-// must not regress (the JSON report computes both ratios). Both sides share
-// a context — one SplitCsr for all iterations — so the ratio isolates
-// FrontierOptions::adaptive, not the presplit cache.
+// Whole Δ-stepping runs on the sparse-heavy road family, on a shared
+// context — one SplitCsr for all iterations — so the row times the kernel,
+// not the presplit. The denominator of the ρ-vs-Δ ratio below.
 void BM_DeltaSteppingRoad(benchmark::State& state) {
   const Graph& g = road_graph();
   exec::Context ctx;
@@ -238,28 +223,6 @@ void BM_DeltaSteppingRoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaSteppingRoad)->Unit(benchmark::kMillisecond);
-
-void BM_DeltaSteppingRoadBaseline(benchmark::State& state) {
-  const Graph& g = road_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.adaptive = false;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRoadBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_DeltaSteppingRmatBaseline(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.adaptive = false;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRmatBaseline)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // ρ-vs-Δ whole-run A/B (sssp/rho_stepping.hpp): the same two families, same
@@ -290,36 +253,8 @@ void BM_RhoSteppingRmat(benchmark::State& state) {
 }
 BENCHMARK(BM_RhoSteppingRmat)->Unit(benchmark::kMillisecond);
 
-// Sampled-vs-exact frontier sizing, whole-run: the same Δ-stepping runs with
-// FrontierOptions::sampled_size_estimate on — every dense advance() decides
-// its representation from ~1024 probes (noise-margin guarded) instead of the
-// exact sealed size. Distances are identical; the ratio tracks what the
-// policy swap costs/saves end to end per family.
-void BM_DeltaSteppingRoadSampled(benchmark::State& state) {
-  const Graph& g = road_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.sampled_size_estimate = true;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRoadSampled)->Unit(benchmark::kMillisecond);
-
-void BM_DeltaSteppingRmatSampled(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.sampled_size_estimate = true;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRmatSampled)->Unit(benchmark::kMillisecond);
-
-// The size-query primitive in isolation: exact popcount scan of a dense
-// bitmap vs ~1024 probes — the asymptotic claim behind sampled sizing
-// (O(n/64) vs O(probes), independent of n).
+// The size-query primitive in isolation: the exact popcount scan of a dense
+// bitmap that sizes every dense frontier round (O(n/64)).
 constexpr gdiam::NodeId kSizeBenchNodes = 1u << 22;
 
 void BM_FrontierSizeExact(benchmark::State& state) {
@@ -335,24 +270,6 @@ void BM_FrontierSizeExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrontierSizeExact)->Unit(benchmark::kMicrosecond);
-
-void BM_FrontierSizeSampled(benchmark::State& state) {
-  std::vector<std::uint64_t> bits(kSizeBenchNodes / 64);
-  util::Xoshiro256 rng(21);
-  for (auto& w : bits) w = rng.next() & rng.next();
-  const core::FrontierOptions fo;
-  for (auto _ : state) {
-    util::SplitMix64 sm(fo.sample_seed);
-    std::uint64_t hits = 0;
-    for (std::uint32_t i = 0; i < fo.size_probes; ++i) {
-      const auto v = static_cast<NodeId>(
-          (static_cast<unsigned __int128>(sm.next()) * kSizeBenchNodes) >> 64);
-      hits += (bits[v >> 6] >> (v & 63)) & 1ULL;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_FrontierSizeSampled)->Unit(benchmark::kMicrosecond);
 
 void BM_GrowingStepPush(benchmark::State& state) {
   const Graph& g = mesh_graph();
@@ -398,33 +315,6 @@ void BM_GrowingStepPull(benchmark::State& state) {
 }
 BENCHMARK(BM_GrowingStepPull)->Unit(benchmark::kMillisecond);
 
-// The pull policy with the adaptive frontier engine disabled: every step
-// pays the legacy full-length Jacobi sweep regardless of frontier size.
-void BM_GrowingStepPullBaseline(benchmark::State& state) {
-  const Graph& g = mesh_graph();
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::GrowingEngine e(g, core::GrowingPolicy::kPull);
-    core::FrontierOptions fo;
-    fo.adaptive = false;
-    e.set_frontier_options(fo);
-    util::Xoshiro256 rng(11);
-    for (int c = 0; c < 64; ++c) {
-      const auto u = static_cast<NodeId>(rng.next_bounded(g.num_nodes()));
-      e.set_source(u, u);
-    }
-    core::GrowingStepParams p;
-    p.light_threshold = p.uniform_budget = 8.0 * g.avg_weight();
-    e.rebuild_frontier(p);
-    state.ResumeTiming();
-    while (e.step(p).updates > 0) {
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_directed_edges()));
-}
-BENCHMARK(BM_GrowingStepPullBaseline)->Unit(benchmark::kMillisecond);
-
 void BM_DeltaSteppingMesh(benchmark::State& state) {
   const Graph& g = mesh_graph();
   sssp::DeltaSteppingOptions o;
@@ -438,7 +328,7 @@ BENCHMARK(BM_DeltaSteppingMesh)->Arg(1)->Arg(8)->Arg(64)
 
 void BM_DeltaSteppingRmat(benchmark::State& state) {
   const Graph& g = rmat_graph();
-  exec::Context ctx;  // mirrors the Road/Baseline variants
+  exec::Context ctx;  // mirrors BM_DeltaSteppingRoad
   for (auto _ : state) {
     benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, {}, &ctx));
   }
@@ -693,10 +583,10 @@ int main(int argc, char** argv) {
     report.put("relax_light_split_speedup", branch / split);
   }
 
-  // Adaptive frontier engine: the representation A/B, the whole-run
-  // adaptive-on/off ratios, and the mode mix of one adaptive run per family
-  // (road = sparse-heavy, rmat = dense-heavy), so regressions in either the
-  // switch threshold or the representations show up in the trajectory.
+  // Adaptive frontier engine: the representation A/B and the mode mix of one
+  // run per family (road = sparse-heavy, rmat = dense-heavy), so regressions
+  // in either the switch threshold or the representations show up in the
+  // trajectory.
   report.put("frontier_dense_fraction", core::FrontierOptions{}.dense_fraction);
   const double fdense = real_time_of(reporter.runs, "BM_FrontierDense");
   const double fsparse = real_time_of(reporter.runs, "BM_FrontierSparse");
@@ -704,17 +594,7 @@ int main(int argc, char** argv) {
     report.put("frontier_sparse_speedup", fdense / fsparse);
   }
   const double road_on = real_time_of(reporter.runs, "BM_DeltaSteppingRoad");
-  const double road_off =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRoadBaseline");
-  if (road_on > 0.0 && road_off > 0.0) {
-    report.put("delta_adaptive_speedup_road", road_off / road_on);
-  }
   const double rmat_on = real_time_of(reporter.runs, "BM_DeltaSteppingRmat");
-  const double rmat_off =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRmatBaseline");
-  if (rmat_on > 0.0 && rmat_off > 0.0) {
-    report.put("delta_adaptive_speedup_rmat", rmat_off / rmat_on);
-  }
   const auto road_run = sssp::delta_stepping(road_graph(), 0, {});
   report.put("road_sparse_rounds", road_run.stats.sparse_rounds);
   report.put("road_dense_rounds", road_run.stats.dense_rounds);
@@ -742,35 +622,6 @@ int main(int argc, char** argv) {
   report.put("rmat_rho_used", rmat_rho_run.rho_used);
   report.put("rmat_rho_steps", rmat_rho_run.buckets_processed);
   report.put("rmat_delta_buckets", rmat_run.buckets_processed);
-
-  // Sampled-vs-exact frontier sizing: whole-run Δ-stepping with the probe
-  // policy on vs off (geometric mean of the two families — the headline the
-  // bench gate watches), the per-family detail, and the size-query
-  // primitive in isolation.
-  const double road_sampled =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRoadSampled");
-  const double rmat_sampled =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRmatSampled");
-  double sampled_geomean = 1.0;
-  if (road_on > 0.0 && road_sampled > 0.0) {
-    report.put("sampled_estimate_speedup_road", road_on / road_sampled);
-    sampled_geomean *= road_on / road_sampled;
-  }
-  if (rmat_on > 0.0 && rmat_sampled > 0.0) {
-    report.put("sampled_estimate_speedup_rmat", rmat_on / rmat_sampled);
-    sampled_geomean *= rmat_on / rmat_sampled;
-  }
-  if (road_sampled > 0.0 && rmat_sampled > 0.0) {
-    report.put("sampled_vs_exact_estimate_speedup",
-               std::sqrt(sampled_geomean));
-  }
-  const double size_exact =
-      real_time_of(reporter.runs, "BM_FrontierSizeExact");
-  const double size_sampled =
-      real_time_of(reporter.runs, "BM_FrontierSizeSampled");
-  if (size_exact > 0.0 && size_sampled > 0.0) {
-    report.put("frontier_size_probe_speedup", size_exact / size_sampled);
-  }
 
   // Context-reuse A/B (exec/context.hpp): reused-context CLUSTER / CL-DIAM
   // over fresh-context, per family. >= 1.0 means reuse pays.

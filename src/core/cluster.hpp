@@ -38,12 +38,11 @@ enum class DeltaInit {
   kFixed,          // caller-provided value (used by the Δ-init ablation)
 };
 
-/// CLUSTER knobs. The shared execution knobs — `frontier` (adaptive
-/// sparse/dense engine for the growing steps; adaptive=false is the legacy
-/// bit-identical baseline), `partition` (shard layout for
-/// GrowingPolicy::kPartitioned; ignored by kPush/kPull) and `presplit`
-/// (Δ-presplit adjacency toggle, threaded into the growing engine) — are
-/// inherited from exec::ExecOptions (DESIGN.md §8).
+/// CLUSTER knobs. The shared execution knobs — `frontier` (sparse/dense
+/// thresholds of the growing steps' frontier engine), `partition` (shard
+/// layout for GrowingPolicy::kPartitioned; ignored by kPush/kPull),
+/// transport and placement — are inherited from exec::ExecOptions
+/// (DESIGN.md §8).
 struct ClusterOptions : exec::ExecOptions {
   /// Target decomposition granularity τ (number-of-clusters knob; the final
   /// clustering has O(τ log² n) clusters).

@@ -6,10 +6,6 @@
 
 #include <omp.h>
 
-#include <cmath>
-
-#include "util/rng.hpp"
-
 namespace gdiam::core {
 
 namespace {
@@ -157,42 +153,6 @@ void Frontier::materialize() {
   }
 }
 
-std::size_t Frontier::estimate_size() const noexcept {
-  if (collect_mode_ != FrontierMode::kDense || n_ == 0) return 0;
-  const std::uint64_t probes =
-      opts_.size_probes == 0 ? 1 : opts_.size_probes;
-  // Seeded by (sample_seed, collecting round): fresh probe positions every
-  // round, identical across runs, thread counts and transports — the probe
-  // set never depends on how the bitmap was filled.
-  util::SplitMix64 sm(opts_.sample_seed ^
-                      (0x9e3779b97f4a7c15ULL * (round_ + 1)));
-  std::uint64_t hits = 0;
-  for (std::uint64_t i = 0; i < probes; ++i) {
-    // Lemire-style scaling of a 64-bit draw onto [0, n): bias is < 2^-32 for
-    // any realistic n, far below the sampling noise this feeds into.
-    const auto v = static_cast<NodeId>(
-        (static_cast<unsigned __int128>(sm.next()) * n_) >> 64);
-    hits += (bits_[v >> 6] >> (v & 63)) & 1ULL;
-  }
-  // hits ≤ probes ≤ 2^32 and n < 2^32, so the product fits in 64 bits only
-  // for probes ≤ 2^32/n; go through 128-bit to stay exact for any config.
-  return static_cast<std::size_t>(
-      (static_cast<unsigned __int128>(hits) * n_) / probes);
-}
-
-std::size_t Frontier::estimate_noise_margin() const noexcept {
-  const std::uint64_t probes =
-      opts_.size_probes == 0 ? 1 : opts_.size_probes;
-  // Probe hits are Binomial(probes, q); the scaled estimate n·hits/probes has
-  // stddev n·sqrt(q(1-q)/probes) ≈ sqrt(q·n²/probes). Evaluated at the
-  // down-threshold occupancy q = sparse_threshold()/n that is
-  // sqrt(sparse_threshold·n/probes); the margin is two of those.
-  const double sigma =
-      std::sqrt(static_cast<double>(sparse_threshold()) *
-                static_cast<double>(n_) / static_cast<double>(probes));
-  return static_cast<std::size_t>(2.0 * sigma);
-}
-
 void Frontier::bump_round() {
   if (++round_ != 0) return;
   // Stamp wraparound (once per 2^32 rounds): rebase so current members stay
@@ -205,15 +165,6 @@ void Frontier::bump_round() {
 
 void Frontier::advance() {
   ensure_thread_slots();
-  // Sampled sizing (FrontierOptions::sampled_size_estimate): probe the dense
-  // bitmap *before* materialize() clears it. Only engages when the universe
-  // is bigger than the probe count — below that the popcount scan is already
-  // cheaper than probing, and the estimate would be exact anyway.
-  const bool sample = opts_.adaptive && opts_.sampled_size_estimate &&
-                      collect_mode_ == FrontierMode::kDense &&
-                      n_ > opts_.size_probes;
-  const std::size_t estimated = sample ? estimate_size() : 0;
-  last_decision_sampled_ = sample;
   materialize();
   current_mode_ = collect_mode_;
   current_round_ = round_;
@@ -226,29 +177,13 @@ void Frontier::advance() {
     }
   }
   bump_round();
-  if (opts_.adaptive) {
-    // Hysteresis: cross dense_threshold() to go dense, fall to
-    // sparse_threshold() to come back; sizes inside the band keep the
-    // current representation (no thrashing on oscillating waves).
-    if (collect_mode_ == FrontierMode::kSparse) {
-      // Up-switch: sparse sizes are exact and free, never sampled.
-      if (nodes_.size() > dense_threshold()) {
-        collect_mode_ = FrontierMode::kDense;
-      }
-    } else if (sample) {
-      // Down-switch on a sampled size: the estimate must clear the
-      // threshold by the 2σ noise margin, so one noisy draw cannot push a
-      // genuinely-dense frontier into an expensive sparse round (and the
-      // exact up-switch at the 4× higher dense_threshold() would then flip
-      // it right back — the oscillation satellite this guards against).
-      const std::size_t margin = estimate_noise_margin();
-      const std::size_t limit = sparse_threshold();
-      if (limit > margin && estimated <= limit - margin) {
-        collect_mode_ = FrontierMode::kSparse;
-      }
-    } else if (nodes_.size() <= sparse_threshold()) {
-      collect_mode_ = FrontierMode::kSparse;
-    }
+  // Hysteresis: cross dense_threshold() to go dense, fall to
+  // sparse_threshold() to come back; sizes inside the band keep the
+  // current representation (no thrashing on oscillating waves).
+  if (collect_mode_ == FrontierMode::kSparse) {
+    if (nodes_.size() > dense_threshold()) collect_mode_ = FrontierMode::kDense;
+  } else if (nodes_.size() <= sparse_threshold()) {
+    collect_mode_ = FrontierMode::kSparse;
   }
 }
 

@@ -21,15 +21,15 @@
 //     Insertion is one fetch_or; enumeration touches n/64 words instead of n
 //     flags, and yields nodes in ascending id order.
 //
-// The adaptive policy switches the *collection* representation whenever the
-// frontier size crosses `dense_fraction · n` (A/B-able through
-// FrontierOptions): the size of the set sealed by advance() predicts the
-// representation used to collect the next one, exactly like PASGAL's
-// sparse/dense SSSP frontiers. All consumers in gdiam are order-insensitive
-// min-reductions with set-based counters, so the representation never
-// changes an algorithmic outcome — the parity suite in
-// tests/test_frontier.cpp pins distances, labels and every RoundStats
-// counter bit-for-bit against the adaptive=false baselines.
+// The policy switches the *collection* representation whenever the
+// frontier size crosses `dense_fraction · n` (FrontierOptions): the size of
+// the set sealed by advance() predicts the representation used to collect
+// the next one, exactly like PASGAL's sparse/dense SSSP frontiers. All
+// consumers in gdiam are order-insensitive min-reductions with set-based
+// counters, so the representation never changes an algorithmic outcome —
+// the parity suite in tests/test_frontier.cpp pins distances, labels and
+// every RoundStats counter bit-for-bit against the serial references of
+// tests/test_helpers.hpp, at thresholds that force either representation.
 //
 // Determinism: membership is a pure function of the inserted set (stamps are
 // idempotent per round), materialized order is ascending for dense and
@@ -52,10 +52,6 @@ enum class FrontierMode : std::uint8_t { kSparse, kDense };
 }
 
 struct FrontierOptions {
-  /// false — callers keep their legacy full-scan / gather round paths (the
-  /// bit-identical A/B baseline); the Frontier itself then always collects
-  /// sparse when used directly.
-  bool adaptive = true;
   /// Hysteresis band of the sparse↔dense switch. Collection switches *up* to
   /// the dense bitmap when the sealed frontier exceeds `dense_fraction · n`
   /// nodes, but only drops back to sparse once it falls to
@@ -65,34 +61,15 @@ struct FrontierOptions {
   /// and the stamp rewrite on alternating rounds); sizes inside the band
   /// keep the previous round's representation. `sparse_fraction` is clamped
   /// to `dense_fraction` (a band cannot be inverted); setting them equal
-  /// restores the old single-threshold switch. Representation never changes
-  /// results — only the sparse_rounds/dense_rounds classification moves.
+  /// restores the old single-threshold switch. `dense_fraction = 1.0` pins
+  /// the sparse representation: a sealed set never exceeds n. Representation
+  /// never changes results — only the sparse_rounds/dense_rounds
+  /// classification moves.
   double dense_fraction = 1.0 / 16.0;
   double sparse_fraction = 1.0 / 64.0;
   /// Sparse per-thread local queue length; a full queue is flushed into the
   /// shared block list (one brief lock per `local_queue_capacity` inserts).
   std::uint32_t local_queue_capacity = 128;
-  /// Replace the exact sealed-size count with a probe-based estimate in the
-  /// dense→sparse switch decision (PASGAL's estimate_size): `size_probes`
-  /// deterministic random bitmap probes instead of the full popcount scan.
-  /// Sampling only engages for *dense* collections on universes larger than
-  /// the probe count (sparse sizes are exact and free; below `size_probes`
-  /// vertices the "estimate" would cost as much as the truth), and the
-  /// up-switch always uses the exact sealed size — so estimator noise can
-  /// only affect the down direction, which is additionally guarded by a
-  /// 2σ noise margin (see Frontier::estimate_noise_margin): the estimate
-  /// must clear sparse_threshold() by the margin before the representation
-  /// drops back to sparse. Combined with the hysteresis band this makes the
-  /// switch monotone under noise — a wrong down-switch needs a >2σ deviation,
-  /// and flipping back up needs the *exact* size to exceed the (4× higher)
-  /// dense_threshold(). Results never change; only the representation
-  /// classification can differ from the exact-count policy.
-  bool sampled_size_estimate = false;
-  /// Probe count for the sampled estimate (PASGAL uses 1024).
-  std::uint32_t size_probes = 1024;
-  /// Seed for the probe positions; combined with the round number so each
-  /// round probes fresh positions, deterministically across runs/transports.
-  std::uint64_t sample_seed = 0x5a3d13f0e57ULL;
 };
 
 /// One adaptive active set over nodes [0, n). Reusable across rounds and —
@@ -121,11 +98,11 @@ class Frontier {
 
   /// Seals the round: materializes the collected set into nodes(), makes it
   /// the *current* frontier, starts a fresh collection round, and re-picks
-  /// the collection representation from the sealed size (adaptive only).
+  /// the collection representation from the sealed size.
   void advance();
 
   /// Forgets both the current frontier and any partially collected round.
-  /// Collection restarts sparse (the adaptive policy re-engages at the next
+  /// Collection restarts sparse (the size policy re-engages at the next
   /// advance()). Start-of-run / start-of-stage reset.
   void clear();
 
@@ -175,26 +152,6 @@ class Frontier {
     return std::min(down, dense_threshold());
   }
 
-  /// Probe-based estimate of the number of set bits in the in-flight *dense*
-  /// collection: `size_probes` uniform vertex probes (with replacement),
-  /// scaled by n/probes. Deterministic — the probe positions are a pure
-  /// function of (sample_seed, round number), independent of thread count or
-  /// insertion order. Only meaningful while collect_mode() is dense; returns
-  /// 0 for a sparse collection (whose size is exact and free).
-  [[nodiscard]] std::size_t estimate_size() const noexcept;
-
-  /// The 2σ sampling-noise margin the down-switch decision must clear when
-  /// sampled_size_estimate is on: 2·sqrt(sparse_threshold·n/size_probes),
-  /// the standard deviation of the scaled probe count evaluated at the
-  /// down-threshold occupancy. DESIGN.md §11 derives it.
-  [[nodiscard]] std::size_t estimate_noise_margin() const noexcept;
-
-  /// True when the *last* advance() used a probe-based estimate (not the
-  /// exact sealed size) for its representation decision. Test/bench hook.
-  [[nodiscard]] bool last_decision_sampled() const noexcept {
-    return last_decision_sampled_;
-  }
-
  private:
   /// One cache line per thread so concurrent queue appends never false-share.
   struct alignas(64) LocalQueue {
@@ -210,7 +167,6 @@ class Frontier {
   FrontierOptions opts_;
   FrontierMode collect_mode_ = FrontierMode::kSparse;
   FrontierMode current_mode_ = FrontierMode::kSparse;
-  bool last_decision_sampled_ = false;
   std::uint32_t round_ = 1;          // stamp value of the collecting round
   std::uint32_t current_round_ = 0;  // stamp value of the sealed round
   std::vector<std::uint32_t> stamp_;

@@ -68,25 +68,20 @@ void GrowingEngine::reset() {
   const bool double_buffered = policy_ != GrowingPolicy::kPush;
   labels_.assign(n, kUnassignedLabel);
   blocked_.assign(n, 0);
-  frontier_.clear();
   frontier_labels_.clear();
-  in_next_frontier_.assign(n, 0);
   scratch_.assign(double_buffered ? n : 0, kUnassignedLabel);
-  changed_.assign(n, 0);
-  next_changed_.assign(double_buffered ? n : 0, 0);
   ++resident_epoch_;  // blocked_ was cleared: pool workers must re-snapshot
   reset_frontier_state();
 }
 
-/// (Re)initializes every piece of adaptive frontier bookkeeping from fopts_
-/// — the single place reset() and set_frontier_options() share, so new
-/// adaptive state cannot be re-initialized on one path and missed on the
-/// other. Kept in sync even when adaptive=false: not a hot path.
+/// (Re)initializes every piece of frontier bookkeeping from fopts_ — the
+/// single place reset() and set_frontier_options() share, so new frontier
+/// state cannot be re-initialized on one path and missed on the other.
 void GrowingEngine::reset_frontier_state() {
   const NodeId n = g_.num_nodes();
   afrontier_.reset(n, fopts_);
   FrontierOptions sparse_only = fopts_;
-  sparse_only.adaptive = false;  // candidate sets stay in the sparse rep
+  sparse_only.dense_fraction = 1.0;  // candidate sets stay in the sparse rep
   rfrontier_.reset(n, sparse_only);
   touch_round_ = 0;
   if (policy_ == GrowingPolicy::kPartitioned) {
@@ -108,8 +103,6 @@ void GrowingEngine::set_frontier_options(const FrontierOptions& opts) {
 
 void GrowingEngine::clear_labels() {
   std::fill(labels_.begin(), labels_.end(), kUnassignedLabel);
-  std::fill(changed_.begin(), changed_.end(), 0);
-  frontier_.clear();
   frontier_labels_.clear();
   afrontier_.clear();
   for (auto& a : shard_active_) a.clear();
@@ -117,37 +110,13 @@ void GrowingEngine::clear_labels() {
 
 void GrowingEngine::set_source(NodeId u, NodeId center, Weight dist) {
   labels_[u] = pack_label(static_cast<float>(dist), center);
-  changed_[u] = 1;
 }
 
+// Re-derives the active set from the labels into the Frontier (and the
+// per-shard lists for kPartitioned). kPush enumerates only nodes that can
+// still propose under `params`; the pull/partitioned senders are every
+// labeled node (one beyond its budget proposes nothing).
 void GrowingEngine::rebuild_frontier(const GrowingStepParams& params) {
-  if (fopts_.adaptive) {
-    rebuild_frontier_adaptive(params);
-    return;
-  }
-  frontier_.clear();
-  for (NodeId u = 0; u < g_.num_nodes(); ++u) {
-    const PackedLabel lab = labels_[u];
-    if (!label_assigned(lab)) {
-      changed_[u] = 0;
-      continue;
-    }
-    changed_[u] = 1;  // pull policy: everyone labeled re-proposes once
-    if (label_dist(lab) < budget_of(params, label_center(lab))) {
-      frontier_.push_back(u);
-    }
-  }
-  frontier_labels_.assign(frontier_.size(), kUnassignedLabel);
-  for (std::size_t i = 0; i < frontier_.size(); ++i) {
-    frontier_labels_[i] = labels_[frontier_[i]];
-  }
-}
-
-// The adaptive analogue: re-derive the active set from the labels into the
-// Frontier (and the per-shard lists for kPartitioned). kPush enumerates only
-// nodes that can still propose under `params`; the pull/partitioned senders
-// are every labeled node, exactly the baseline's changed_ = 1 sweep.
-void GrowingEngine::rebuild_frontier_adaptive(const GrowingStepParams& params) {
   const NodeId n = g_.num_nodes();
   afrontier_.clear();
   for (auto& a : shard_active_) a.clear();
@@ -167,8 +136,8 @@ void GrowingEngine::rebuild_frontier_adaptive(const GrowingStepParams& params) {
   if (policy_ == GrowingPolicy::kPush) snapshot_push_labels();
 }
 
-/// Aligns frontier_labels_ with the adaptive frontier's node list — the
-/// step-start label snapshot the push relaxation reads.
+/// Aligns frontier_labels_ with the frontier's node list — the step-start
+/// label snapshot the push relaxation reads.
 void GrowingEngine::snapshot_push_labels() {
   const auto& nodes = afrontier_.nodes();
   frontier_labels_.resize(nodes.size());
@@ -229,24 +198,18 @@ void GrowingEngine::ensure_split(Weight threshold) {
 }
 
 GrowingStepResult GrowingEngine::step(const GrowingStepParams& params) {
-  if (presplit_) ensure_split(params.light_threshold);
+  ensure_split(params.light_threshold);
   switch (policy_) {
     case GrowingPolicy::kPush: return step_push(params);
-    case GrowingPolicy::kPartitioned:
-      return fopts_.adaptive ? step_partitioned_adaptive(params)
-                             : step_partitioned(params);
+    case GrowingPolicy::kPartitioned: return step_partitioned_adaptive(params);
     case GrowingPolicy::kPull:
-    default:
-      return fopts_.adaptive ? step_pull_adaptive(params) : step_pull(params);
+    default: return step_pull_adaptive(params);
   }
 }
 
 GrowingStepResult GrowingEngine::step_push(const GrowingStepParams& params) {
   GrowingStepResult out;
-  const bool adaptive = fopts_.adaptive;
-  // Adaptive rounds enumerate the Frontier's materialized list; the
-  // baseline keeps its own vector. Same set either way.
-  const std::vector<NodeId>& active = adaptive ? afrontier_.nodes() : frontier_;
+  const std::vector<NodeId>& active = afrontier_.nodes();
   std::uint64_t messages = 0, updates = 0, newly = 0;
 
 #pragma omp parallel for schedule(dynamic, 64) \
@@ -261,13 +224,11 @@ GrowingStepResult GrowingEngine::step_push(const GrowingStepParams& params) {
     const Weight budget = budget_of(params, c);
     if (!(static_cast<Weight>(b) < budget)) continue;
 
-    // Presplit: the light segment holds exactly the w ≤ light_threshold arcs,
-    // so the heavy-edge filter disappears from the inner loop.
-    const auto nbr = presplit_ ? split_->light_neighbors(u) : g_.neighbors(u);
-    const auto wts = presplit_ ? split_->light_weights(u) : g_.weights(u);
+    // The light segment holds exactly the w ≤ light_threshold arcs.
+    const auto nbr = split_->light_neighbors(u);
+    const auto wts = split_->light_weights(u);
     for (std::size_t i = 0; i < nbr.size(); ++i) {
       const Weight w = wts[i];
-      if (!presplit_ && w > params.light_threshold) continue;  // heavy edge
       const Weight nb = static_cast<Weight>(b) + w;
       if (nb > budget) continue;
       const NodeId v = nbr[i];
@@ -280,21 +241,12 @@ GrowingStepResult GrowingEngine::step_push(const GrowingStepParams& params) {
       while (cand < cur) {
         if (slot.compare_exchange_weak(cur, cand,
                                        std::memory_order_relaxed)) {
-          // Count each node once per step: the first winner (frontier stamp
-          // or legacy flag 0 -> 1) observed the step-start label, making the
-          // counts deterministic.
-          bool first;
-          if (adaptive) {
-            first = afrontier_.insert(v);
-          } else {
-            std::atomic_ref<std::uint8_t> flag(in_next_frontier_[v]);
-            first = flag.exchange(1, std::memory_order_relaxed) == 0;
-          }
-          if (first) {
-            ++updates;
-            if (cur == kUnassignedLabel) ++newly;
-            if (!adaptive) next_buffers_.local().push_back(v);
-          }
+          // Both counts are per node, not per winning CAS, so they do not
+          // depend on thread interleaving: the frontier stamp admits one
+          // first insert per step, and exactly one CAS can leave the
+          // unassigned label (none can restore it).
+          if (afrontier_.insert(v)) ++updates;
+          if (cur == kUnassignedLabel) ++newly;
           break;
         }
       }
@@ -304,91 +256,22 @@ GrowingStepResult GrowingEngine::step_push(const GrowingStepParams& params) {
   out.messages = messages;
   out.updates = updates;
   out.newly_labeled = newly;
-
-  if (adaptive) {
-    // The step is classified by the representation that collected its next
-    // frontier (the round convention of DESIGN.md §7).
-    if (afrontier_.collect_mode() == FrontierMode::kDense) {
-      out.dense_rounds = 1;
-    } else {
-      out.sparse_rounds = 1;
-    }
-    afrontier_.advance();
-    snapshot_push_labels();
-    return out;
+  // The step is classified by the representation that collected its next
+  // frontier (the round convention of DESIGN.md §7).
+  if (afrontier_.collect_mode() == FrontierMode::kDense) {
+    out.dense_rounds = 1;
+  } else {
+    out.sparse_rounds = 1;
   }
-
-  frontier_ = next_buffers_.gather();
-  frontier_labels_.resize(frontier_.size());
-  // Flag reset + label snapshot in one parallel sweep (the snapshot was the
-  // last serial per-node loop on the push hot path).
-#pragma omp parallel for schedule(static, 2048)
-  for (std::size_t i = 0; i < frontier_.size(); ++i) {
-    const NodeId v = frontier_[i];
-    in_next_frontier_[v] = 0;
-    frontier_labels_[i] =
-        std::atomic_ref<PackedLabel>(labels_[v]).load(std::memory_order_relaxed);
-  }
+  afrontier_.advance();
+  snapshot_push_labels();
   return out;
 }
 
-GrowingStepResult GrowingEngine::step_pull(const GrowingStepParams& params) {
-  GrowingStepResult out;
-  const NodeId n = g_.num_nodes();
-  std::uint64_t messages = 0, updates = 0, newly = 0;
-
-#pragma omp parallel for schedule(dynamic, 1024) \
-    reduction(+ : messages, updates, newly)
-  for (NodeId v = 0; v < n; ++v) {
-    next_changed_[v] = 0;
-    if (blocked_[v]) {
-      scratch_[v] = labels_[v];
-      continue;
-    }
-    PackedLabel best = labels_[v];
-    // Edge weights are symmetric, so v's light in-edges are exactly its
-    // light out-edges: the presplit segment serves the pull direction too.
-    const auto nbr = presplit_ ? split_->light_neighbors(v) : g_.neighbors(v);
-    const auto wts = presplit_ ? split_->light_weights(v) : g_.weights(v);
-    for (std::size_t i = 0; i < nbr.size(); ++i) {
-      const NodeId u = nbr[i];
-      // Nodes unchanged since the last step already delivered their
-      // proposal in an earlier round; skipping them keeps the message count
-      // identical to the push policy.
-      if (!changed_[u]) continue;
-      const Weight w = wts[i];
-      if (!presplit_ && w > params.light_threshold) continue;
-      const PackedLabel lab = labels_[u];
-      if (!label_assigned(lab)) continue;
-      const float b = label_dist(lab);
-      const NodeId c = label_center(lab);
-      const Weight budget = budget_of(params, c);
-      if (!(static_cast<Weight>(b) < budget)) continue;
-      const Weight nb = static_cast<Weight>(b) + w;
-      if (nb > budget) continue;
-      ++messages;
-      best = std::min(best, pack_label(static_cast<float>(nb), c));
-    }
-    scratch_[v] = best;
-    if (best != labels_[v]) {
-      next_changed_[v] = 1;
-      ++updates;
-      if (labels_[v] == kUnassignedLabel) ++newly;
-    }
-  }
-
-  labels_.swap(scratch_);
-  changed_.swap(next_changed_);
-  out.messages = messages;
-  out.updates = updates;
-  out.newly_labeled = newly;
-  return out;
-}
-
-// Adaptive pull. Dense rounds run the same full-length Jacobi sweep as the
-// baseline (sender membership answered by frontier stamps instead of the
-// changed_ bytes — contains() stays stable while the round's dense bitmap
-// collects). Sparse rounds restrict the sweep to *receiver candidates*: the
+// Pull. Dense rounds run the full-length Jacobi sweep (sender membership
+// answered by frontier stamps — contains() stays stable while the round's
+// dense bitmap collects). Sparse rounds restrict the sweep to *receiver
+// candidates*: the
 // light neighbors of the senders. Every proposal the dense sweep would count
 // originates at a sender with an assigned, within-budget label and travels a
 // light edge, so the candidate set covers every node that could receive a
@@ -411,13 +294,12 @@ GrowingStepResult GrowingEngine::step_pull_adaptive(
         continue;
       }
       PackedLabel best = labels_[v];
-      const auto nbr = presplit_ ? split_->light_neighbors(v) : g_.neighbors(v);
-      const auto wts = presplit_ ? split_->light_weights(v) : g_.weights(v);
+      const auto nbr = split_->light_neighbors(v);
+      const auto wts = split_->light_weights(v);
       for (std::size_t i = 0; i < nbr.size(); ++i) {
         const NodeId u = nbr[i];
         if (!afrontier_.contains(u)) continue;  // unchanged since last step
         const Weight w = wts[i];
-        if (!presplit_ && w > params.light_threshold) continue;
         const PackedLabel lab = labels_[u];
         if (!label_assigned(lab)) continue;
         const float b = label_dist(lab);
@@ -450,11 +332,7 @@ GrowingStepResult GrowingEngine::step_pull_adaptive(
             budget_of(params, label_center(lab)))) {
         continue;
       }
-      const auto nbr = presplit_ ? split_->light_neighbors(u) : g_.neighbors(u);
-      const auto wts = presplit_ ? split_->light_weights(u) : g_.weights(u);
-      for (std::size_t i = 0; i < nbr.size(); ++i) {
-        if (!presplit_ && wts[i] > params.light_threshold) continue;
-        const NodeId v = nbr[i];
+      for (const NodeId v : split_->light_neighbors(u)) {
         if (!blocked_[v]) rfrontier_.insert(v);
       }
     }
@@ -468,13 +346,12 @@ GrowingStepResult GrowingEngine::step_pull_adaptive(
     for (std::size_t r = 0; r < recv.size(); ++r) {
       const NodeId v = recv[r];
       PackedLabel best = labels_[v];
-      const auto nbr = presplit_ ? split_->light_neighbors(v) : g_.neighbors(v);
-      const auto wts = presplit_ ? split_->light_weights(v) : g_.weights(v);
+      const auto nbr = split_->light_neighbors(v);
+      const auto wts = split_->light_weights(v);
       for (std::size_t i = 0; i < nbr.size(); ++i) {
         const NodeId u = nbr[i];
         if (!afrontier_.contains(u)) continue;
         const Weight w = wts[i];
-        if (!presplit_ && w > params.light_threshold) continue;
         const PackedLabel lab = labels_[u];
         if (!label_assigned(lab)) continue;
         const float b = label_dist(lab);
@@ -515,13 +392,13 @@ GrowingStepResult GrowingEngine::step_pull_adaptive(
 // Resident-worker support (PoolTransport, mr/transport.hpp §DESIGN.md §10).
 // A pool worker forks once per epoch and keeps computing with closures and
 // member state frozen at fork time, so each step's senders are evaluated on
-// the coordinator — where labels_/changed_/afrontier_/params are current —
-// and shipped as (local id, label, budget) triples. The enumeration order
-// reproduces the in-process compute exactly (owned ids ascending on the
-// baseline and dense rounds, shard_active_ order on sparse rounds), because
-// staging order is delivery order is the determinism contract.
+// the coordinator — where labels_/afrontier_/params are current — and
+// shipped as (local id, label, budget) triples. The enumeration order
+// reproduces the in-process compute exactly (owned ids ascending on dense
+// rounds, shard_active_ order on sparse rounds), because staging order is
+// delivery order is the determinism contract.
 void GrowingEngine::build_pool_senders(const GrowingStepParams& params,
-                                       bool adaptive, bool dense) {
+                                       bool dense) {
   pool_light_threshold_ = params.light_threshold;
   const auto k = static_cast<std::int64_t>(partition_->num_partitions());
 #pragma omp parallel for schedule(dynamic, 1)
@@ -536,12 +413,7 @@ void GrowingEngine::build_pool_senders(const GrowingStepParams& params,
       if (!(static_cast<Weight>(label_dist(lab)) < budget)) return;
       senders.push_back(PoolSender{l, lab, budget});
     };
-    if (!adaptive) {
-      for (NodeId l = 0; l < sh.num_owned; ++l) {
-        const NodeId u = sh.global_of_local[l];
-        if (changed_[u]) try_push(u, l);
-      }
-    } else if (dense) {
+    if (dense) {
       for (NodeId l = 0; l < sh.num_owned; ++l) {
         const NodeId u = sh.global_of_local[l];
         if (afrontier_.contains(u)) try_push(u, l);
@@ -562,21 +434,15 @@ void GrowingEngine::pool_compute_shard(const mr::Shard& sh,
                                        mr::Exchange<LabelProposal>& ex,
                                        std::uint64_t& messages_out) const {
   std::uint64_t messages = 0;
-  const CsrSplit* ss = presplit_ ? &(*shard_splits_)[sh.id] : nullptr;
-  const NodeId* tgt = presplit_ ? ss->targets.data() : sh.targets.data();
-  const Weight* wt = presplit_ ? ss->weights.data() : sh.weights.data();
+  const CsrSplit& ss = (*shard_splits_)[sh.id];
   for (const PoolSender& e : pool_senders_[sh.id]) {
     const float b = label_dist(e.label);
     const NodeId c = label_center(e.label);
-    const EdgeIndex lo = sh.offsets[e.local];
-    const EdgeIndex hi = presplit_ ? ss->split[e.local]
-                                   : sh.offsets[e.local + 1];
-    for (EdgeIndex i = lo; i < hi; ++i) {
-      const Weight w = wt[i];
-      if (!presplit_ && w > pool_light_threshold_) continue;
+    for (EdgeIndex i = sh.offsets[e.local]; i < ss.split[e.local]; ++i) {
+      const Weight w = ss.weights[i];
       const Weight nb = static_cast<Weight>(b) + w;
       if (nb > e.budget) continue;
-      const NodeId tl = tgt[i];
+      const NodeId tl = ss.targets[i];
       const NodeId v = sh.global_of_local[tl];
       if (blocked_[v]) continue;
       ++messages;
@@ -617,144 +483,20 @@ mr::StepInputCodec GrowingEngine::make_pool_codec() {
   return codec;
 }
 
-// One Δ-growing step as one BSP superstep. Semantically this is step_pull
-// re-expressed sender-side: every proposal is computed from the step-start
-// labels and the step outcome is min(step-start label, proposals), so labels
-// and counters are bit-identical to kPush/kPull. The difference is *where*
-// the work runs: each shard relaxes only the arcs it owns, writes only the
-// scratch slots of nodes it owns, and sends proposals for ghost targets
-// through the exchange — which is exactly the traffic a distributed
+// One Δ-growing step as one BSP superstep. Semantically this is the pull
+// step re-expressed sender-side: every proposal is computed from the
+// step-start labels and the step outcome is min(step-start label,
+// proposals), so labels and counters are bit-identical to kPush/kPull. The
+// difference is *where* the work runs: each shard relaxes only the arcs it
+// owns, folds proposals for the nodes it owns, and sends proposals for ghost
+// targets through the exchange — exactly the traffic a distributed
 // deployment would shuffle between reducers.
-GrowingStepResult GrowingEngine::step_partitioned(
-    const GrowingStepParams& params) {
-  GrowingStepResult out;
-  const NodeId n = g_.num_nodes();
-  const std::uint32_t k = partition_->num_partitions();
-  // Remote transport: compute runs in forked workers, so its owned-scratch
-  // folds are staged as loopback records and replayed by apply instead
-  // (DESIGN.md §9) — the min over the same proposal set, in the same order.
-  const bool remote = bsp_->remote_compute();
-  // Resident transport (PoolTransport): the frozen worker closures can't see
-  // this step's labels_/changed_/params, so the sender set is evaluated here
-  // and shipped through the codec; compute replays it edge-for-edge.
-  const bool resident = bsp_->resident_compute();
-  mr::StepInputCodec pool_codec;
-  if (resident) {
-    build_pool_senders(params, /*adaptive=*/false, /*dense=*/false);
-    pool_codec = make_pool_codec();
-  }
-
-  // Step-start snapshot; shards fold proposals into scratch_ below.
-#pragma omp parallel for schedule(static, 4096)
-  for (NodeId v = 0; v < n; ++v) scratch_[v] = labels_[v];
-
-  // Per-shard counters, summed after the superstep (single-writer slots,
-  // like the exchange's mailbox rows; shard_messages doubles as the
-  // transport's shipped counter slab, so compute tallies survive workers).
-  std::vector<std::uint64_t> shard_messages(k, 0);
-  std::vector<std::uint64_t> shard_updates(k, 0);
-  std::vector<std::uint64_t> shard_newly(k, 0);
-
-  auto compute = [&](const mr::Shard& sh, mr::Exchange<LabelProposal>& ex) {
-    if (resident) {  // shipped senders; frame-locals below stay untouched
-      pool_compute_shard(sh, ex, shard_messages[sh.id]);
-      return;
-    }
-    std::uint64_t messages = 0;
-    // Presplit shards share the flat layout's discipline: the light half of
-    // each owned node's permuted segment, no per-edge weight filter.
-    const CsrSplit* ss = presplit_ ? &(*shard_splits_)[sh.id] : nullptr;
-    const NodeId* tgt = presplit_ ? ss->targets.data() : sh.targets.data();
-    const Weight* wt = presplit_ ? ss->weights.data() : sh.weights.data();
-    for (NodeId l = 0; l < sh.num_owned; ++l) {
-      const NodeId u = sh.global_of_local[l];
-      if (!changed_[u]) continue;
-      const PackedLabel lab = labels_[u];
-      if (!label_assigned(lab)) continue;
-      const float b = label_dist(lab);
-      const NodeId c = label_center(lab);
-      const Weight budget = budget_of(params, c);
-      if (!(static_cast<Weight>(b) < budget)) continue;
-      const EdgeIndex lo = sh.offsets[l];
-      const EdgeIndex hi = presplit_ ? ss->split[l] : sh.offsets[l + 1];
-      for (EdgeIndex i = lo; i < hi; ++i) {
-        const Weight w = wt[i];
-        if (!presplit_ && w > params.light_threshold) continue;
-        const Weight nb = static_cast<Weight>(b) + w;
-        if (nb > budget) continue;
-        const NodeId tl = tgt[i];
-        const NodeId v = sh.global_of_local[tl];
-        if (blocked_[v]) continue;  // contracted members never accept
-        ++messages;
-        const PackedLabel cand = pack_label(static_cast<float>(nb), c);
-        if (!sh.is_ghost(tl)) {
-          if (remote) {
-            ex.loopback(sh.id, LabelProposal{tl, cand});
-          } else {
-            // Shard-internal proposal: fold immediately (only this shard's
-            // thread writes scratch slots of nodes it owns).
-            scratch_[v] = std::min(scratch_[v], cand);
-          }
-        } else {
-          ex.send(sh.id, sh.ghost_owner[tl - sh.num_owned],
-                  LabelProposal{partition_->local_id(v), cand});
-        }
-      }
-    }
-    shard_messages[sh.id] = messages;
-  };
-
-  auto apply = [&](const mr::Shard& sh,
-                   std::span<const LabelProposal> inbox) {
-    for (const LabelProposal& m : inbox) {
-      const NodeId v = sh.global_of_local[m.target];
-      scratch_[v] = std::min(scratch_[v], m.label);
-    }
-    // Commit the shard's owned slice: detect improvements against the
-    // step-start labels exactly like step_pull's per-node comparison.
-    std::uint64_t updates = 0, newly = 0;
-    for (NodeId l = 0; l < sh.num_owned; ++l) {
-      const NodeId v = sh.global_of_local[l];
-      next_changed_[v] = 0;
-      if (scratch_[v] != labels_[v]) {
-        next_changed_[v] = 1;
-        ++updates;
-        if (labels_[v] == kUnassignedLabel) ++newly;
-      }
-    }
-    shard_updates[sh.id] = updates;
-    shard_newly[sh.id] = newly;
-  };
-
-  const mr::ExchangeCounters traffic = bsp_->superstep(
-      exchange_, compute, apply, nullptr,
-      std::span<std::uint64_t>(shard_messages.data(), shard_messages.size()),
-      resident ? &pool_codec : nullptr);
-
-  labels_.swap(scratch_);
-  changed_.swap(next_changed_);
-  for (std::uint32_t s = 0; s < k; ++s) {
-    out.messages += shard_messages[s];
-    out.updates += shard_updates[s];
-    out.newly_labeled += shard_newly[s];
-  }
-  out.cross_messages = traffic.cross_messages;
-  out.cross_bytes = traffic.cross_bytes;
-  out.cross_node_messages = traffic.cross_node_messages;
-  out.cross_node_bytes = traffic.cross_node_bytes;
-  out.wire_messages = traffic.wire_messages;
-  out.wire_bytes = traffic.wire_bytes;
-  return out;
-}
-
-// The adaptive superstep drops both full-vertex-range passes of the
-// baseline: the O(n) labels -> scratch snapshot (scratch slots initialize
-// lazily, on a node's first proposal of the step, tracked by a touch stamp)
-// and the O(n) owned-range commit scan (only touched slots can differ).
-// Senders enumerate per-shard active lists on sparse rounds and fall back to
-// the owned-range scan with a frontier membership test on dense ones. Labels
-// commit in place — the min over {step-start label} ∪ proposals is exactly
-// the baseline's swapped scratch content.
+//
+// No pass touches the full vertex range: scratch slots initialize lazily,
+// on a node's first proposal of the step (tracked by a touch stamp), and
+// only touched slots are committed. Senders enumerate per-shard active
+// lists on sparse rounds and fall back to the owned-range scan with a
+// frontier membership test on dense ones. Labels commit in place.
 GrowingStepResult GrowingEngine::step_partitioned_adaptive(
     const GrowingStepParams& params) {
   GrowingStepResult out;
@@ -771,7 +513,7 @@ GrowingStepResult GrowingEngine::step_partitioned_adaptive(
   const bool resident = bsp_->resident_compute();
   mr::StepInputCodec pool_codec;
   if (resident) {
-    build_pool_senders(params, /*adaptive=*/true, dense);
+    build_pool_senders(params, dense);
     pool_codec = make_pool_codec();
   }
 
@@ -793,9 +535,9 @@ GrowingStepResult GrowingEngine::step_partitioned_adaptive(
       return;
     }
     std::uint64_t messages = 0;
-    const CsrSplit* ss = presplit_ ? &(*shard_splits_)[sh.id] : nullptr;
-    const NodeId* tgt = presplit_ ? ss->targets.data() : sh.targets.data();
-    const Weight* wt = presplit_ ? ss->weights.data() : sh.weights.data();
+    // The light half of each owned node's presplit segment: no per-edge
+    // weight filter.
+    const CsrSplit& ss = (*shard_splits_)[sh.id];
     auto& touched = shard_touched_[sh.id];
 
     // Owned-target proposal with lazy scratch initialization.
@@ -814,14 +556,11 @@ GrowingStepResult GrowingEngine::step_partitioned_adaptive(
       const NodeId c = label_center(lab);
       const Weight budget = budget_of(params, c);
       if (!(static_cast<Weight>(b) < budget)) return;
-      const EdgeIndex lo = sh.offsets[l];
-      const EdgeIndex hi = presplit_ ? ss->split[l] : sh.offsets[l + 1];
-      for (EdgeIndex i = lo; i < hi; ++i) {
-        const Weight w = wt[i];
-        if (!presplit_ && w > params.light_threshold) continue;
+      for (EdgeIndex i = sh.offsets[l]; i < ss.split[l]; ++i) {
+        const Weight w = ss.weights[i];
         const Weight nb = static_cast<Weight>(b) + w;
         if (nb > budget) continue;
-        const NodeId tl = tgt[i];
+        const NodeId tl = ss.targets[i];
         const NodeId v = sh.global_of_local[tl];
         if (blocked_[v]) continue;
         ++messages;

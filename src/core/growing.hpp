@@ -22,11 +22,10 @@
 //   * kPush — frontier-driven: only nodes whose label changed in the previous
 //     step send proposals; conflicts resolved by atomic min. Fast path.
 //   * kPull — synchronous Jacobi sweep; the MR-faithful formulation (each
-//     step is literally one round of message exchange). Reference
-//     implementation for tests and ablations. Under the adaptive frontier
-//     engine (core/frontier.hpp, on by default) sparse rounds restrict the
-//     sweep to receiver candidates — the light neighbors of the senders —
-//     and only dense rounds pay the classic full-length scan.
+//     step is literally one round of message exchange). Sparse rounds of
+//     the frontier engine (core/frontier.hpp) restrict the sweep to receiver
+//     candidates — the light neighbors of the senders — and only dense
+//     rounds pay the classic full-length scan.
 //   * kPartitioned — the step executed on the sharded BSP engine
 //     (mr/bsp_engine.hpp): each shard relaxes its owned nodes locally and
 //     routes proposals for remote nodes through a typed exchange, so the
@@ -50,7 +49,6 @@
 #include "mr/exchange.hpp"
 #include "mr/partition.hpp"
 #include "mr/stats.hpp"
-#include "util/parallel.hpp"
 
 namespace gdiam::exec {
 class Context;
@@ -98,10 +96,10 @@ struct GrowingStepResult {
   /// TransportKind::kProcess only; see mr/transport.hpp).
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
-  /// Round classification under the adaptive frontier engine
-  /// (core/frontier.hpp): exactly one of the two is 1 per adaptive step,
-  /// both 0 on the adaptive=false baseline. run() folds them into the
-  /// RoundStats mode counters so benches can report the sparse/dense mix.
+  /// Round classification under the sparse/dense frontier engine
+  /// (core/frontier.hpp): exactly one of the two is 1 per step. run() folds
+  /// them into the RoundStats mode counters so benches can report the
+  /// sparse/dense mix.
   std::uint64_t sparse_rounds = 0;
   std::uint64_t dense_rounds = 0;
 };
@@ -160,37 +158,24 @@ class GrowingEngine {
   void rebuild_frontier(const GrowingStepParams& params);
 
   /// Executes one Δ-growing step; deterministic for a fixed label state.
+  /// Steps iterate the Δ-presplit adjacency (graph/split_csr.hpp): each
+  /// node's segment is reordered light-first whenever `light_threshold`
+  /// changes — typically once per growth stage — and every step walks only
+  /// the light segment, with no per-edge weight test.
   GrowingStepResult step(const GrowingStepParams& params);
 
-  /// Toggles the Δ-presplit adjacency (graph/split_csr.hpp). On (the
-  /// default), the engine lazily reorders each node's segment light-first
-  /// whenever `light_threshold` changes — typically once per growth stage —
-  /// and every step iterates only the light segment, branch-free. Off keeps
-  /// the per-edge weight filter over the original CSR; labels and counters
-  /// are bit-identical either way (enforced by tests/test_split_csr.cpp) —
-  /// the branch path is the A/B baseline for bench/micro_kernels.
-  void set_presplit(bool on) noexcept {
-    presplit_ = on;
-    split_ready_ = false;
-    ++resident_epoch_;  // pool workers read presplit_ + the split layout
-  }
-  [[nodiscard]] bool presplit() const noexcept { return presplit_; }
-
-  /// Configures the adaptive sparse/dense frontier engine
-  /// (core/frontier.hpp). On (the default), every policy maintains its
-  /// active set through a Frontier — kPush collects the next frontier with
-  /// stamp dedup, kPull runs candidate-restricted sparse rounds below the
-  /// dense threshold and the full sweep above it, kPartitioned enumerates
-  /// per-shard active lists instead of snapshotting the full vertex range
-  /// per superstep. `adaptive = false` keeps the legacy full-scan/gather
-  /// paths; labels and all counters are bit-identical either way (enforced
-  /// by tests/test_frontier.cpp). Resets the frontier bookkeeping (labels
-  /// and blocks survive): call before rebuild_frontier, like a Δ change.
+  /// Configures the sparse/dense frontier engine (core/frontier.hpp) that
+  /// maintains every policy's active set — kPush collects the next frontier
+  /// with stamp dedup, kPull runs candidate-restricted sparse rounds below
+  /// the dense threshold and the full sweep above it, kPartitioned
+  /// enumerates per-shard active lists. Labels and all counters are
+  /// bit-identical at every threshold (tests/test_frontier.cpp). Resets the
+  /// frontier bookkeeping (labels and blocks survive): call before
+  /// rebuild_frontier, like a Δ change.
   void set_frontier_options(const FrontierOptions& opts);
   [[nodiscard]] const FrontierOptions& frontier_options() const noexcept {
     return fopts_;
   }
-  [[nodiscard]] bool adaptive() const noexcept { return fopts_.adaptive; }
 
   /// Selects the transport the kPartitioned supersteps run on
   /// (mr/transport.hpp): in-process threads (the default) or forked worker
@@ -288,7 +273,7 @@ class GrowingEngine {
   /// One pre-filtered sender a resident pool worker relaxes from: the
   /// shard-local id, the step-start label, and the center's budget — the
   /// full per-sender state the compute edge loop needs, evaluated on the
-  /// coordinator so the worker never reads labels_/changed_/params (which
+  /// coordinator so the worker never reads labels_/afrontier_/params (which
   /// its fork-time snapshot would have stale).
   struct PoolSender {
     NodeId local = 0;
@@ -297,16 +282,13 @@ class GrowingEngine {
   };
 
   GrowingStepResult step_push(const GrowingStepParams& params);
-  GrowingStepResult step_pull(const GrowingStepParams& params);
   GrowingStepResult step_pull_adaptive(const GrowingStepParams& params);
-  GrowingStepResult step_partitioned(const GrowingStepParams& params);
   GrowingStepResult step_partitioned_adaptive(const GrowingStepParams& params);
 
   /// Fills pool_senders_ with the step's senders, per shard, in exactly the
   /// enumeration order the in-process compute would visit them — order is
   /// staging order is delivery order, so pre-filtering must not permute it.
-  void build_pool_senders(const GrowingStepParams& params, bool adaptive,
-                          bool dense);
+  void build_pool_senders(const GrowingStepParams& params, bool dense);
   /// The shipped-sender edge loop a resident worker runs instead of the
   /// frame-capturing compute closures (always stages via loopback/send).
   void pool_compute_shard(const mr::Shard& sh,
@@ -315,7 +297,6 @@ class GrowingEngine {
   /// Input codec handed to BspEngine::superstep under a resident transport.
   [[nodiscard]] mr::StepInputCodec make_pool_codec();
 
-  void rebuild_frontier_adaptive(const GrowingStepParams& params);
   void snapshot_push_labels();
   void reset_frontier_state();
 
@@ -336,15 +317,10 @@ class GrowingEngine {
   GrowingPolicy policy_;
   std::vector<PackedLabel> labels_;
   std::vector<std::uint8_t> blocked_;
-  // push policy state
-  std::vector<NodeId> frontier_;
-  std::vector<PackedLabel> frontier_labels_;  // snapshot at step start
-  std::vector<std::uint8_t> in_next_frontier_;
-  util::ThreadBuffers<NodeId> next_buffers_;
+  // push policy state: labels of afrontier_.nodes() at step start
+  std::vector<PackedLabel> frontier_labels_;
   // pull + partitioned policy state
   std::vector<PackedLabel> scratch_;
-  std::vector<std::uint8_t> changed_;  // nodes updated in the previous step
-  std::vector<std::uint8_t> next_changed_;
   // partitioned policy state; partition_ points at either the private
   // owned_partition_ or the exec::Context's cached layout (ctx_ != nullptr)
   std::unique_ptr<mr::Partition> owned_partition_;
@@ -354,7 +330,7 @@ class GrowingEngine {
   std::unique_ptr<mr::Transport> transport_;
   std::unique_ptr<mr::BspEngine> bsp_;
   mr::Exchange<LabelProposal> exchange_;
-  // adaptive frontier engine state (fopts_.adaptive, the default)
+  // frontier engine state
   FrontierOptions fopts_;
   Frontier afrontier_;  // active set: push = proposers, pull/bsp = changed
   Frontier rfrontier_;  // sparse pull rounds: receiver candidates
@@ -379,7 +355,6 @@ class GrowingEngine {
   // — a short MRU scan — so repeated thresholds presplit once per context.
   exec::Context* ctx_ = nullptr;
   mr::PartitionOptions popts_;
-  bool presplit_ = true;
   bool split_ready_ = false;
   Weight split_threshold_ = 0.0;
   SplitCsr split_own_;                      // kPush / kPull, standalone

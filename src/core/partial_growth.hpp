@@ -42,7 +42,6 @@ class PartialGrowthDriver {
         engine_(ctx.growing_engine(g, opts.policy, opts.partition)),
         covered_(g.num_nodes(), 0),
         uncovered_(g.num_nodes()) {
-    engine_.set_presplit(opts.presplit);
     engine_.set_frontier_options(opts.frontier);
     engine_.set_transport_options(opts.transport);
     engine_.set_placement_options(opts.placement);

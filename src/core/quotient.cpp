@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "sssp/dijkstra.hpp"
-#include "sssp/sweep.hpp"
 #include "util/rng.hpp"
 
 namespace gdiam::core {
@@ -133,31 +132,6 @@ QuotientGraph build_quotient(const Graph& g, const Clustering& clustering,
   return out;
 }
 
-QuotientDiameterResult quotient_diameter(const Graph& quotient,
-                                         const QuotientDiameterOptions& opts) {
-  QuotientDiameterResult out;
-  const NodeId k = quotient.num_nodes();
-  if (k == 0) return out;
-
-  if (k <= opts.exact_threshold) {
-    out.diameter = sssp::exact_diameter(quotient);
-    out.exact = true;
-    return out;
-  }
-
-  util::Xoshiro256 rng(opts.seed);
-  Weight best = 0.0;
-  for (unsigned r = 0; r < std::max(1u, opts.restarts); ++r) {
-    const auto seed_node = static_cast<NodeId>(rng.next_bounded(k));
-    const auto sweep =
-        sssp::diameter_lower_bound(quotient, opts.sweeps, opts.seed, seed_node);
-    best = std::max(best, sweep.lower_bound);
-  }
-  out.diameter = best;
-  out.exact = false;
-  return out;
-}
-
 QuotientDiametersResult quotient_diameters(
     const QuotientGraph& quotient, const QuotientDiameterOptions& opts) {
   QuotientDiametersResult out;
@@ -238,12 +212,6 @@ QuotientDiametersResult quotient_diameters(
   out.augmented = augmented;
   out.exact = false;
   return out;
-}
-
-QuotientDiameterResult quotient_diameter_radius_aware(
-    const QuotientGraph& quotient, const QuotientDiameterOptions& opts) {
-  const QuotientDiametersResult both = quotient_diameters(quotient, opts);
-  return QuotientDiameterResult{both.augmented, both.exact};
 }
 
 }  // namespace gdiam::core

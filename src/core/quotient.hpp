@@ -58,30 +58,19 @@ struct QuotientDiameterOptions {
   std::uint64_t seed = 1;
 };
 
-struct QuotientDiameterResult {
-  Weight diameter = 0.0;
-  bool exact = false;
-};
-
-/// Diameter (largest intra-component distance) of the quotient graph.
+/// Both quotient metrics from one pass over the quotient (each Dijkstra
+/// feeds the plain max and the radius-augmented max simultaneously) — what
+/// CL-DIAM uses so the classic and refined estimates cost one traversal.
 /// Exact below `exact_threshold` nodes, iterated-sweep estimate above; the
 /// paper likewise computes (a constant approximation of) Φ(G_C) on a single
 /// machine in O(1) rounds.
-[[nodiscard]] QuotientDiameterResult quotient_diameter(
-    const Graph& quotient, const QuotientDiameterOptions& opts = {});
-
-/// Radius-aware diameter bound: max over cluster pairs of
+///
+/// `augmented` is the radius-aware diameter bound: max over cluster pairs of
 /// dist_GC(C1, C2) + r(C1) + r(C2), and 2·r(C) for intra-cluster pairs.
 /// Since dist_G(u, v) ≤ dist_GC(C_u, C_v) + r(C_u) + r(C_v), this is a
 /// conservative Φ(G) upper bound that is never worse than the paper's
 /// Φ(G_C) + 2·max r — the global-radius outlier is only charged when its
 /// own cluster realizes the quotient diameter (DESIGN.md §3 refinement).
-[[nodiscard]] QuotientDiameterResult quotient_diameter_radius_aware(
-    const QuotientGraph& quotient, const QuotientDiameterOptions& opts = {});
-
-/// Both metrics from one pass over the quotient (each Dijkstra feeds the
-/// plain max and the radius-augmented max simultaneously) — what CL-DIAM
-/// uses so the classic and refined estimates cost one traversal.
 struct QuotientDiametersResult {
   Weight plain = 0.0;      // Φ(G_C)
   Weight augmented = 0.0;  // max pair dist + r(C1) + r(C2), and 2·r(C)

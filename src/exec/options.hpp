@@ -1,10 +1,10 @@
 #pragma once
 // Shared execution knobs (DESIGN.md §8).
 //
-// Every round-based kernel in gdiam is steered by the same three choices:
-// which frontier engine maintains the per-round active sets, how many BSP
-// shards the kernel runs on, and whether the Δ-presplit adjacency layout is
-// used. Before the unified runtime these knobs were duplicated across
+// Every round-based kernel in gdiam is steered by the same choices: the
+// thresholds of the sparse/dense frontier engine that maintains the
+// per-round active sets, how many BSP shards the kernel runs on, and where
+// their supersteps run. Before the unified runtime these knobs were duplicated across
 // DeltaSteppingOptions, ClusterOptions and the GrowingEngine setters, and
 // could silently disagree between pipeline layers (a CLUSTER run configured
 // adaptive could hand its quotient sweep a default-configured Δ-stepping).
@@ -43,9 +43,8 @@ enum class Algorithm : std::uint8_t { kDeltaStepping, kRhoStepping };
 /// (sssp::DeltaSteppingOptions, core::ClusterOptions) inherit these fields,
 /// and exec::Context carries a copy as the pipeline-wide default.
 struct ExecOptions {
-  /// Adaptive sparse/dense frontier engine for the per-round active sets
-  /// (core/frontier.hpp); `frontier.adaptive = false` selects the legacy
-  /// full-scan round paths — bit-identical results, the A/B baseline.
+  /// Thresholds of the sparse/dense frontier engine for the per-round active
+  /// sets (core/frontier.hpp); they move the representation, never results.
   core::FrontierOptions frontier;
   /// Shard layout for the partitioned BSP backends; num_partitions <= 1
   /// selects the flat shared-memory kernels.
@@ -65,10 +64,6 @@ struct ExecOptions {
   /// labels and model counters are bit-identical across strategies. Only the
   /// partitioned BSP backends read it.
   mr::PlacementOptions placement;
-  /// Δ-presplit adjacency (graph/split_csr.hpp): iterate exactly the edge
-  /// class a phase needs, no per-edge weight branch. `false` keeps the
-  /// branch-filter loops — bit-identical, the A/B baseline.
-  bool presplit = true;
   /// Stepping kernel for SSSP-shaped work (sssp::shortest_paths dispatches
   /// on it). Non-SSSP kernels (growing, CLUSTER) ignore it.
   Algorithm algorithm = Algorithm::kDeltaStepping;

@@ -55,11 +55,12 @@ struct RoundStats {
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
   /// Relaxation rounds whose frontier was collected in the sparse
-  /// (thread-local queue) vs dense (bitmap) representation of the adaptive
-  /// frontier engine (core/frontier.hpp). Observability counters for the
-  /// bench mode-mix reports: both stay 0 on the adaptive=false baselines,
-  /// so parity suites compare the work counters above field-by-field and pin
-  /// these two separately (tests/test_frontier.cpp).
+  /// (thread-local queue) vs dense (bitmap) representation of the frontier
+  /// engine (core/frontier.hpp). Observability counters for the bench
+  /// mode-mix reports: they move with the engine's thresholds while the
+  /// work counters above do not, so parity suites compare those
+  /// field-by-field and pin these two separately (tests/test_frontier.cpp).
+  /// Kernels outside the engine (Bellman–Ford, Dijkstra) leave both 0.
   std::uint64_t sparse_rounds = 0;
   std::uint64_t dense_rounds = 0;
 
@@ -101,8 +102,8 @@ struct RoundStats {
 ///  wire=2.0e+06msg/3.1e+07B modes=61S/13D" — for logs; the cross part
 /// appears only when a partitioned backend recorded traffic, the xnode part
 /// only when a NUMA placement plan classified it, the wire part only when a
-/// multi-process transport ran, the modes part only when the adaptive
-/// frontier engine classified rounds.
+/// multi-process transport ran, the modes part only when the frontier
+/// engine classified rounds.
 [[nodiscard]] std::string to_string(const RoundStats& s);
 
 }  // namespace gdiam::mr

@@ -67,9 +67,17 @@ bool field_bool(const Message& m, const std::string& key, bool fallback) {
 
 /// The shared execution fields, with the CLI's exact semantics and
 /// defaults: partitions (1), range-partition (hash), transport
-/// local|process|pool (processes=N alone implies process), adaptive (on),
-/// sampled-frontier (off), algorithm delta|rho (delta).
+/// local|process|pool (processes=N alone implies process), algorithm
+/// delta|rho (delta). The removed frontier switches are refused rather than
+/// ignored, so a client still sending them learns they no longer apply.
 void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
+  for (const char* removed : {"adaptive", "sampled-frontier"}) {
+    if (m.has(removed)) {
+      throw std::invalid_argument(std::string("field '") + removed +
+                                  "' was removed: the frontier is always "
+                                  "adaptive and exactly sized");
+    }
+  }
   opt.partition.num_partitions = field_u32(m, "partitions", 1);
   if (opt.partition.num_partitions == 0) {
     throw std::invalid_argument("partitions must be >= 1");
@@ -94,8 +102,6 @@ void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
           "transport=process/pool requires partitions > 1");
     }
   }
-  opt.frontier.adaptive = field_bool(m, "adaptive", true);
-  opt.frontier.sampled_size_estimate = field_bool(m, "sampled-frontier", false);
   const std::string algo = m.get("algorithm");
   if (!algo.empty() && algo != "delta" && algo != "rho") {
     throw std::invalid_argument("algorithm must be delta or rho");

@@ -84,7 +84,6 @@ void RoundBuffers::reset(NodeId n, const core::FrontierOptions& opts) {
   active.clear();
   settled.clear();
   snapshot.clear();
-  changed.clear();
   // dist_bits / bucket arrays are (re)assigned by the run itself; exchange
   // scratch lazily by the partitioned path. Capacities survive throughout.
 }
@@ -114,7 +113,6 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   exec::Context local_ctx;
   exec::Context& C = ctx != nullptr ? *ctx : local_ctx;
   RoundBuffers& rb = C.round_buffers();
-  const bool adaptive = opts.frontier.adaptive;
   rb.reset(n, opts.frontier);
 
   DeltaSteppingResult out;
@@ -139,15 +137,6 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   Buckets buckets(rb.bucket_slots, rb.bucket_queued, span, n);
   buckets.push(source, 0);
 
-  // The adaptive=false baseline keeps the legacy improved-set machinery:
-  // per-thread gather buffers plus a byte flag per node, reset after every
-  // phase. The adaptive path replaces all of it with rb.improved's round
-  // stamps (tests/test_frontier.cpp pins the two bit-identical).
-  util::ThreadBuffers<NodeId> improved;
-  std::vector<std::uint8_t> in_improved;
-  std::vector<NodeId> baseline_changed;
-  if (!adaptive) in_improved.assign(n, 0);
-
   // Partitioned BSP backend (opts.partition.num_partitions > 1): relaxation
   // phases run as supersteps on K shards instead of one flat loop. The shard
   // layout is cached in the context, the staging scratch in RoundBuffers.
@@ -170,7 +159,6 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     if (rb.exchange.num_partitions() != k) {
       rb.exchange.resize(k);
       rb.by_shard.assign(k, {});
-      rb.shard_improved.assign(k, {});
     } else {
       rb.exchange.clear();
     }
@@ -219,12 +207,10 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   // shard's CSR, so both backends see the same per-node split offsets.
   const SplitCsr* split = nullptr;
   const std::vector<CsrSplit>* shard_splits = nullptr;
-  if (opts.presplit) {
-    if (part == nullptr) {
-      split = &C.split_for(g, delta);
-    } else {
-      shard_splits = &C.shard_splits_for(g, opts.partition, delta);
-    }
+  if (part == nullptr) {
+    split = &C.split_for(g, delta);
+  } else {
+    shard_splits = &C.shard_splits_for(g, opts.partition, delta);
   }
 
   // Relax `kind` edges out of `frontier` (distance snapshots taken at phase
@@ -235,53 +221,31 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       [&](const std::vector<std::pair<NodeId, Weight>>& frontier,
           EdgeKind kind) -> const std::vector<NodeId>& {
     std::uint64_t messages = 0, updates = 0;
-    const bool use_split = split != nullptr;
 #pragma omp parallel for schedule(dynamic, 64) reduction(+ : messages, updates)
     for (std::size_t f = 0; f < frontier.size(); ++f) {
       const auto [u, du] = frontier[f];
-      std::span<const NodeId> nbr;
-      std::span<const Weight> wts;
-      if (use_split) {
-        // Exactly the arcs of this class: no per-edge branch, no double scan.
-        nbr = kind == EdgeKind::kLight ? split->light_neighbors(u)
-                                       : split->heavy_neighbors(u);
-        wts = kind == EdgeKind::kLight ? split->light_weights(u)
-                                       : split->heavy_weights(u);
-      } else {
-        nbr = g.neighbors(u);
-        wts = g.weights(u);
-      }
+      // Exactly the arcs of this class: no per-edge branch, no double scan.
+      const std::span<const NodeId> nbr = kind == EdgeKind::kLight
+                                              ? split->light_neighbors(u)
+                                              : split->heavy_neighbors(u);
+      const std::span<const Weight> wts = kind == EdgeKind::kLight
+                                              ? split->light_weights(u)
+                                              : split->heavy_weights(u);
       for (std::size_t i = 0; i < nbr.size(); ++i) {
-        const Weight w = wts[i];
-        if (!use_split && (kind == EdgeKind::kLight) != (w <= delta)) continue;
         ++messages;
-        const std::uint64_t nd = util::double_order_bits(du + w);
-        if (util::atomic_fetch_min(dist_bits[nbr[i]], nd)) {
-          // Count each improved node once per phase (first winner only):
-          // frontier stamp or legacy flag, same set either way.
-          bool first;
-          if (adaptive) {
-            first = rb.improved.insert(nbr[i]);
-          } else {
-            std::atomic_ref<std::uint8_t> flag(in_improved[nbr[i]]);
-            first = flag.exchange(1, std::memory_order_relaxed) == 0;
-          }
-          if (first) {
-            ++updates;
-            if (!adaptive) improved.local().push_back(nbr[i]);
-          }
+        const std::uint64_t nd = util::double_order_bits(du + wts[i]);
+        // Count each improved node once per phase: the frontier stamp
+        // admits one first insert.
+        if (util::atomic_fetch_min(dist_bits[nbr[i]], nd) &&
+            rb.improved.insert(nbr[i])) {
+          ++updates;
         }
       }
     }
     out.stats.messages += messages;
     out.stats.node_updates += updates;
-    if (adaptive) {
-      rb.improved.advance();
-      return rb.improved.nodes();
-    }
-    baseline_changed = improved.gather();
-    for (const NodeId v : baseline_changed) in_improved[v] = 0;
-    return baseline_changed;
+    rb.improved.advance();
+    return rb.improved.nodes();
   };
 
   // Same phase as one BSP superstep: each shard relaxes the frontier nodes
@@ -300,7 +264,6 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       rb.by_shard[s].clear();
       rb.shard_messages[s] = 0;
       rb.shard_updates[s] = 0;
-      if (!adaptive) rb.shard_improved[s].clear();
     }
     for (const auto& e : frontier) {
       rb.by_shard[part->owner(e.first)].push_back(e);
@@ -310,17 +273,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     auto lower = [&](mr::ShardId s, NodeId v, std::uint64_t nd) {
       if (nd < dist_bits[v]) {
         dist_bits[v] = nd;
-        bool first;
-        if (adaptive) {
-          first = rb.improved.insert_serial(v);
-        } else {
-          first = in_improved[v] == 0;
-          if (first) in_improved[v] = 1;
-        }
-        if (first) {
-          rb.shard_updates[s]++;
-          if (!adaptive) rb.shard_improved[s].push_back(v);
-        }
+        if (rb.improved.insert_serial(v)) rb.shard_updates[s]++;
       }
     };
 
@@ -330,29 +283,18 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       // enclosing frame: a resident pool worker's copy of this closure is
       // frozen at fork time, and only rb is refreshed by decode_input.
       const auto ck = static_cast<EdgeKind>(rb.pool_kind);
-      // With presplit, iterate only the [light | heavy] half of the shard's
-      // permuted segment; otherwise branch-filter the original shard CSR.
-      const CsrSplit* ss =
-          shard_splits == nullptr ? nullptr : &(*shard_splits)[sh.id];
-      const NodeId* tgt = ss != nullptr ? ss->targets.data()
-                                        : sh.targets.data();
-      const Weight* wt = ss != nullptr ? ss->weights.data()
-                                       : sh.weights.data();
+      // Iterate only the [light | heavy] half of the shard's permuted
+      // segment.
+      const CsrSplit& ss = (*shard_splits)[sh.id];
       for (const auto& [u, du] : rb.by_shard[sh.id]) {
         const NodeId l = part->local_id(u);
         EdgeIndex lo = sh.offsets[l];
         EdgeIndex hi = sh.offsets[l + 1];
-        if (ss != nullptr) {
-          (ck == EdgeKind::kLight ? hi : lo) = ss->split[l];
-        }
+        (ck == EdgeKind::kLight ? hi : lo) = ss.split[l];
         for (EdgeIndex i = lo; i < hi; ++i) {
-          const Weight w = wt[i];
-          if (ss == nullptr && (ck == EdgeKind::kLight) != (w <= delta)) {
-            continue;
-          }
           ++messages;
-          const std::uint64_t nd = util::double_order_bits(du + w);
-          const NodeId tl = tgt[i];
+          const std::uint64_t nd = util::double_order_bits(du + ss.weights[i]);
+          const NodeId tl = ss.targets[i];
           const NodeId v = sh.global_of_local[tl];
           if (!sh.is_ghost(tl)) {
             // tl is v's id within its owner shard (sh), so the record reads
@@ -384,17 +326,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       out.stats.messages += rb.shard_messages[s];
       out.stats.node_updates += rb.shard_updates[s];
     }
-    if (adaptive) {
-      rb.improved.advance();
-      return rb.improved.nodes();
-    }
-    rb.changed.clear();
-    for (std::uint32_t s = 0; s < k; ++s) {
-      rb.changed.insert(rb.changed.end(), rb.shard_improved[s].begin(),
-                        rb.shard_improved[s].end());
-    }
-    for (const NodeId v : rb.changed) in_improved[v] = 0;
-    return rb.changed;
+    rb.improved.advance();
+    return rb.improved.nodes();
   };
 
   auto relax = [&](const std::vector<std::pair<NodeId, Weight>>& frontier,
@@ -402,14 +335,12 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     out.stats.relaxation_rounds++;
     const auto& changed = part != nullptr ? relax_bsp(frontier, kind)
                                           : relax_flat(frontier, kind);
-    if (adaptive) {
-      // Round convention of DESIGN.md §7: the phase is classified by the
-      // representation that collected its improved set.
-      if (rb.improved.current_mode() == core::FrontierMode::kDense) {
-        out.stats.dense_rounds++;
-      } else {
-        out.stats.sparse_rounds++;
-      }
+    // Round convention of DESIGN.md §7: the phase is classified by the
+    // representation that collected its improved set.
+    if (rb.improved.current_mode() == core::FrontierMode::kDense) {
+      out.stats.dense_rounds++;
+    } else {
+      out.stats.sparse_rounds++;
     }
     return changed;
   };
@@ -428,11 +359,11 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     while (cur <= buckets.max_abs() && buckets.slot_empty(cur)) ++cur;
     if (cur > buckets.max_abs()) break;  // defensive; queued()>0 should hold
 
-    // R in the paper: all nodes leaving the bucket. The adaptive path dedups
-    // at insertion time with one stamp generation per bucket; the baseline
-    // keeps the legacy collect-then-sort+unique pass.
+    // R in the paper: all nodes leaving the bucket, deduplicated at
+    // insertion time with one stamp generation per bucket (a node may be
+    // drained twice when it re-enters cur).
     rb.settled.clear();
-    if (adaptive) rb.new_stamp_round();
+    rb.new_stamp_round();
     std::uint64_t phases = 0;
     while (!buckets.slot_empty(cur)) {
       buckets.drain_into(cur, rb.drained);
@@ -443,13 +374,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
         // stale entries (node moved to an earlier bucket) are dropped
       }
       if (rb.active.empty()) break;
-      if (adaptive) {
-        for (const NodeId v : rb.active) {
-          if (rb.stamp_once(v)) rb.settled.push_back(v);
-        }
-      } else {
-        rb.settled.insert(rb.settled.end(), rb.active.begin(),
-                          rb.active.end());
+      for (const NodeId v : rb.active) {
+        if (rb.stamp_once(v)) rb.settled.push_back(v);
       }
 
       const auto& changed = relax(snapshot(rb.active), EdgeKind::kLight);
@@ -464,12 +390,6 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     }
 
     if (!rb.settled.empty()) {
-      if (!adaptive) {
-        // Deduplicate: a node may have been drained twice (re-entered cur).
-        std::sort(rb.settled.begin(), rb.settled.end());
-        rb.settled.erase(std::unique(rb.settled.begin(), rb.settled.end()),
-                         rb.settled.end());
-      }
       const auto& changed = relax(snapshot(rb.settled), EdgeKind::kHeavy);
       for (const NodeId v : changed) {
         buckets.push(v, bucket_of(dist_of(v)));

@@ -26,10 +26,11 @@
 // crossed wire bytes reported on top (DESIGN.md §9).
 //
 // Frontier maintenance (improved-node sets, settled-set dedup, bucket and
-// exchange scratch) runs on the adaptive sparse/dense engine and the
-// RoundBuffers pool of core/frontier.hpp / DESIGN.md §7; repeated runs on
-// one graph share an exec::Context (exec/context.hpp) so the Δ-presplit and
-// the pools carry across sources.
+// exchange scratch) runs on the sparse/dense engine and the RoundBuffers
+// pool of core/frontier.hpp / DESIGN.md §7, and every phase walks exactly
+// its edge class of the Δ-presplit adjacency (graph/split_csr.hpp);
+// repeated runs on one graph share an exec::Context (exec/context.hpp) so
+// the presplit and the pools carry across sources.
 
 #include <cstdint>
 #include <memory>
@@ -50,12 +51,11 @@ class Context;
 
 namespace gdiam::sssp {
 
-/// Δ-stepping knobs. The shared execution knobs — `frontier` (adaptive
-/// sparse/dense engine + RoundBuffers pool; adaptive=false is the legacy
-/// bit-identical baseline), `partition` (BSP shard layout; K <= 1 = flat
-/// kernel) and `presplit` (Δ-presplit adjacency vs the branch-filter
-/// baseline) — are inherited from exec::ExecOptions, the single definition
-/// every gdiam kernel shares (DESIGN.md §8).
+/// Δ-stepping knobs. The shared execution knobs — `frontier` (sparse/dense
+/// thresholds of the improved-set engine), `partition` (BSP shard layout;
+/// K <= 1 = flat kernel), transport and placement — are inherited from
+/// exec::ExecOptions, the single definition every gdiam kernel shares
+/// (DESIGN.md §8).
 struct DeltaSteppingOptions : exec::ExecOptions {
   /// Bucket width; 0 selects the common heuristic Δ = avg edge weight.
   Weight delta = 0.0;
@@ -80,7 +80,7 @@ static_assert(sizeof(DistProposal) == 12);
 /// Per-run pool of round-lifetime scratch: everything a Δ-stepping run
 /// touches once per bucket or phase — tentative distances, cyclic bucket
 /// slots, drained/settled/frontier lists, snapshot pairs, per-vertex stamps,
-/// the adaptive improved-set Frontier and the partitioned exchange staging —
+/// the improved-set Frontier and the partitioned exchange staging —
 /// is allocated here once per run. Owned by an exec::Context and carried
 /// across runs, steady-state runs allocate almost nothing.
 struct RoundBuffers {
@@ -94,7 +94,7 @@ struct RoundBuffers {
   std::vector<NodeId> active;
   std::vector<NodeId> settled;
   std::vector<std::pair<NodeId, Weight>> snapshot;
-  // Per-vertex stamps: settled-set dedup without sort+unique.
+  // Per-vertex stamps: settled-set dedup.
   std::vector<std::uint32_t> stamps;
   std::uint32_t stamp_round = 0;
   // Exchange scratch for the partitioned BSP backend.
@@ -102,8 +102,6 @@ struct RoundBuffers {
   std::vector<std::vector<std::pair<NodeId, Weight>>> by_shard;
   std::vector<std::uint64_t> shard_messages;
   std::vector<std::uint64_t> shard_updates;
-  std::vector<std::vector<NodeId>> shard_improved;
-  std::vector<NodeId> changed;
   /// ρ-stepping threshold-selection scratch: the order-encoded distances of
   /// the sampled frontier nodes (sssp/rho_stepping.cpp).
   std::vector<std::uint64_t> sample_bits;
@@ -119,8 +117,8 @@ struct RoundBuffers {
   /// Opens a fresh stamp generation (start of a bucket): every vertex reads
   /// as unstamped without touching the array.
   void new_stamp_round();
-  /// First call per (v, generation) returns true — the stamp analogue of
-  /// the settled sort+unique. Single-threaded contexts only.
+  /// First call per (v, generation) returns true. Single-threaded contexts
+  /// only.
   [[nodiscard]] bool stamp_once(NodeId v);
 };
 

@@ -16,6 +16,12 @@ namespace gdiam::sssp {
 
 namespace {
 
+/// Threshold sample size (PASGAL uses 1024 probes) and its hash seed. The
+/// seed is mixed with the step number, so each step samples afresh, the
+/// same way in every run, transport and thread count.
+constexpr std::uint64_t kSampleProbes = 1024;
+constexpr std::uint64_t kSampleSeed = 0x5a3d13f0e57ULL;
+
 /// Per-vertex hash for the threshold sample: a pure function of
 /// (seed, step, v), so membership in the sample is determined by the
 /// frontier *set* — never by the materialized list order, which for sparse
@@ -39,7 +45,6 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
   exec::Context local_ctx;
   exec::Context& C = ctx != nullptr ? *ctx : local_ctx;
   RoundBuffers& rb = C.round_buffers();
-  const bool adaptive = opts.frontier.adaptive;
   rb.reset(n, opts.frontier);
 
   DeltaSteppingResult out;
@@ -49,9 +54,6 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
   const std::uint64_t rho =
       opts.rho > 0 ? opts.rho : std::max<std::uint64_t>(1024, n / 64);
   out.rho_used = rho;
-  const std::uint64_t probes =
-      opts.frontier.size_probes == 0 ? 1 : opts.frontier.size_probes;
-  const std::uint64_t seed = opts.frontier.sample_seed;
 
   std::vector<std::uint64_t>& dist_bits = rb.dist_bits;
   dist_bits.assign(n, util::kInfDoubleBits);
@@ -72,13 +74,6 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
   frontier.push_back(source);
   in_frontier[source] = 1;
 
-  // adaptive=false baseline: the legacy improved-set machinery (per-thread
-  // gather buffers + one byte flag per node), exactly as in delta_stepping.
-  util::ThreadBuffers<NodeId> improved;
-  std::vector<std::uint8_t> in_improved;
-  std::vector<NodeId> baseline_changed;
-  if (!adaptive) in_improved.assign(n, 0);
-
   // Partitioned BSP backend — identical setup to delta_stepping: cached
   // shard layout, pluggable transport, pooled exchange staging.
   const mr::Partition* part = nullptr;
@@ -97,7 +92,6 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
     if (rb.exchange.num_partitions() != k) {
       rb.exchange.resize(k);
       rb.by_shard.assign(k, {});
-      rb.shard_improved.assign(k, {});
     } else {
       rb.exchange.clear();
     }
@@ -146,30 +140,16 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
       for (std::size_t i = 0; i < nbr.size(); ++i) {
         ++messages;
         const std::uint64_t nd = util::double_order_bits(du + wts[i]);
-        if (util::atomic_fetch_min(dist_bits[nbr[i]], nd)) {
-          bool first;
-          if (adaptive) {
-            first = rb.improved.insert(nbr[i]);
-          } else {
-            std::atomic_ref<std::uint8_t> flag(in_improved[nbr[i]]);
-            first = flag.exchange(1, std::memory_order_relaxed) == 0;
-          }
-          if (first) {
-            ++updates;
-            if (!adaptive) improved.local().push_back(nbr[i]);
-          }
+        if (util::atomic_fetch_min(dist_bits[nbr[i]], nd) &&
+            rb.improved.insert(nbr[i])) {
+          ++updates;
         }
       }
     }
     out.stats.messages += messages;
     out.stats.node_updates += updates;
-    if (adaptive) {
-      rb.improved.advance();
-      return rb.improved.nodes();
-    }
-    baseline_changed = improved.gather();
-    for (const NodeId v : baseline_changed) in_improved[v] = 0;
-    return baseline_changed;
+    rb.improved.advance();
+    return rb.improved.nodes();
   };
 
   // Same phase as one BSP superstep, mirroring delta_stepping's relax_bsp
@@ -183,7 +163,6 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
       rb.by_shard[s].clear();
       rb.shard_messages[s] = 0;
       rb.shard_updates[s] = 0;
-      if (!adaptive) rb.shard_improved[s].clear();
     }
     for (const auto& e : batch) {
       rb.by_shard[part->owner(e.first)].push_back(e);
@@ -192,17 +171,7 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
     auto lower = [&](mr::ShardId s, NodeId v, std::uint64_t nd) {
       if (nd < dist_bits[v]) {
         dist_bits[v] = nd;
-        bool first;
-        if (adaptive) {
-          first = rb.improved.insert_serial(v);
-        } else {
-          first = in_improved[v] == 0;
-          if (first) in_improved[v] = 1;
-        }
-        if (first) {
-          rb.shard_updates[s]++;
-          if (!adaptive) rb.shard_improved[s].push_back(v);
-        }
+        if (rb.improved.insert_serial(v)) rb.shard_updates[s]++;
       }
     };
 
@@ -246,17 +215,8 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
       out.stats.messages += rb.shard_messages[s];
       out.stats.node_updates += rb.shard_updates[s];
     }
-    if (adaptive) {
-      rb.improved.advance();
-      return rb.improved.nodes();
-    }
-    rb.changed.clear();
-    for (std::uint32_t s = 0; s < k; ++s) {
-      rb.changed.insert(rb.changed.end(), rb.shard_improved[s].begin(),
-                        rb.shard_improved[s].end());
-    }
-    for (const NodeId v : rb.changed) in_improved[v] = 0;
-    return rb.changed;
+    rb.improved.advance();
+    return rb.improved.nodes();
   };
 
   auto relax = [&](const std::vector<std::pair<NodeId, Weight>>& batch)
@@ -264,12 +224,10 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
     out.stats.relaxation_rounds++;
     const auto& changed =
         part != nullptr ? relax_bsp(batch) : relax_flat(batch);
-    if (adaptive) {
-      if (rb.improved.current_mode() == core::FrontierMode::kDense) {
-        out.stats.dense_rounds++;
-      } else {
-        out.stats.sparse_rounds++;
-      }
+    if (rb.improved.current_mode() == core::FrontierMode::kDense) {
+      out.stats.dense_rounds++;
+    } else {
+      out.stats.sparse_rounds++;
     }
     return changed;
   };
@@ -282,21 +240,23 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
   };
 
   // θ for this step, as an order-encoded distance: the ρ/|F| quantile of a
-  // ~`probes`-node hash-inclusion sample of the frontier's tentative
+  // ~kSampleProbes-node hash-inclusion sample of the frontier's tentative
   // distances. θ is always one of the sampled (i.e. actual frontier)
   // distances, so the extracted near set is never empty.
   auto pick_threshold = [&](std::uint64_t step) -> std::uint64_t {
     std::vector<std::uint64_t>& sample = rb.sample_bits;
     sample.clear();
     const std::uint64_t fsize = frontier.size();
-    if (fsize <= probes) {
+    if (fsize <= kSampleProbes) {
       for (const NodeId v : frontier) sample.push_back(dist_bits[v]);
     } else {
       // Include v with probability probes/|F|: hash < probes·(2^64/|F|).
       const std::uint64_t cut = static_cast<std::uint64_t>(
-          (static_cast<unsigned __int128>(probes) << 64) / fsize);
+          (static_cast<unsigned __int128>(kSampleProbes) << 64) / fsize);
       for (const NodeId v : frontier) {
-        if (sample_hash(seed, step, v) < cut) sample.push_back(dist_bits[v]);
+        if (sample_hash(kSampleSeed, step, v) < cut) {
+          sample.push_back(dist_bits[v]);
+        }
       }
       if (sample.empty()) return ~0ULL;  // astronomically unlikely: take all
     }

@@ -7,8 +7,8 @@
 // them on high-diameter ones (thousands of near-empty rounds). ρ-stepping
 // sizes each step by *work* instead of *distance*: every step extracts the
 // ~ρ closest frontier nodes — the distance threshold θ is chosen by sampling
-// the frontier's tentative distances (≈ FrontierOptions::size_probes probes,
-// seeded via util::rng) and taking the ρ/|F| quantile — and relaxes ALL
+// the frontier's tentative distances (≈ 1024 probes, seeded via util::rng)
+// and taking the ρ/|F| quantile — and relaxes ALL
 // their out-edges (no light/heavy split). Frontiers of ≤ ρ nodes are taken
 // whole (θ = ∞). The step count tracks n/ρ, independent of the diameter.
 //
@@ -26,16 +26,15 @@
 // downstream (near/far partition, messages, updates) is then set-determined.
 //
 // Scheduling reuses the Δ-stepping machinery wholesale: the same
-// RoundBuffers pool, the adaptive improved-set Frontier, and with
+// RoundBuffers pool, the improved-set Frontier, and with
 // partition.num_partitions > 1 the same BSP superstep shape — shard-owned
 // lowerings applied locally (loopback under remote transports), ghost
 // targets through the typed exchange, resident pool workers fed per-step
 // frontier frames. MR accounting follows the Δ-stepping convention: one
 // auxiliary round per threshold-selection scan, one relaxation round per
-// step's relax phase. opts.presplit is ignored — ρ-stepping always relaxes a
-// node's full adjacency, so the Δ-presplit layout has nothing to offer it
-// (and an exec::Context shared with Δ-stepping keeps its cached SplitCsr
-// untouched and reusable).
+// step's relax phase. ρ-stepping always relaxes a node's full adjacency, so
+// the Δ-presplit layout has nothing to offer it (and an exec::Context shared
+// with Δ-stepping keeps its cached SplitCsr untouched and reusable).
 
 #include "sssp/delta_stepping.hpp"
 

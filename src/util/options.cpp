@@ -25,19 +25,33 @@ Options::Options(int argc, const char* const* argv) {
   }
 }
 
+std::map<std::string, std::string>::const_iterator Options::lookup(
+    const std::string& name) const {
+  read_.insert(name);
+  return flags_.find(name);
+}
+
 bool Options::has(const std::string& name) const {
-  return flags_.count(name) != 0;
+  return lookup(name) != flags_.end();
+}
+
+std::vector<std::string> Options::unread() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) == 0) out.push_back(name);
+  }
+  return out;
 }
 
 std::string Options::get_string(const std::string& name,
                                 std::string fallback) const {
-  const auto it = flags_.find(name);
+  const auto it = lookup(name);
   return it == flags_.end() ? std::move(fallback) : it->second;
 }
 
 std::int64_t Options::get_int(const std::string& name,
                               std::int64_t fallback) const {
-  const auto it = flags_.find(name);
+  const auto it = lookup(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
   return std::stoll(it->second);
 }
@@ -53,13 +67,13 @@ std::uint32_t Options::get_uint32(const std::string& name,
 }
 
 double Options::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
+  const auto it = lookup(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
   return std::stod(it->second);
 }
 
 bool Options::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
+  const auto it = lookup(name);
   if (it == flags_.end()) return fallback;
   if (it->second.empty() || it->second == "true" || it->second == "1") {
     return true;

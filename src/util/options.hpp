@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,8 @@ class Options {
   /// Parses argv; throws std::invalid_argument on malformed flags.
   Options(int argc, const char* const* argv);
 
-  /// True when the flag was present (with or without a value).
+  /// True when the flag was present (with or without a value). Like every
+  /// get_*, marks `name` as read (see unread()).
   [[nodiscard]] bool has(const std::string& name) const;
 
   [[nodiscard]] std::string get_string(const std::string& name,
@@ -36,6 +38,12 @@ class Options {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
+  /// Flags given on the command line that no has()/get_*() call has asked
+  /// about, in name order. A command that has read all of its flags calls
+  /// this to reject the rest: a misspelled or unsupported flag then fails
+  /// loudly instead of silently running with the default.
+  [[nodiscard]] std::vector<std::string> unread() const;
+
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
@@ -45,8 +53,13 @@ class Options {
   void set(const std::string& name, std::string value);
 
  private:
+  /// Returns the flag's entry (end() when absent) and marks it read.
+  [[nodiscard]] std::map<std::string, std::string>::const_iterator lookup(
+      const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace gdiam::util

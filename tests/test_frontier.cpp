@@ -1,8 +1,9 @@
 // Adaptive sparse/dense frontier engine (core/frontier.hpp): unit tests of
-// the Frontier itself, plus the parity suite pinning the adaptive kernels
-// bit-for-bit against the adaptive=false baselines — distances, labels and
-// every RoundStats counter — on all graph families, flat and partitioned
-// (K ∈ {1, 2, 7}), including disconnected graphs and the single-vertex
+// the Frontier itself, plus the parity suite pinning the kernels built on it
+// bit-for-bit against the serial references of test_helpers.hpp —
+// distances, labels and every RoundStats counter — on all graph families,
+// flat and partitioned (K ∈ {1, 2, 7}), at thresholds that force either
+// representation, including disconnected graphs and the single-vertex
 // frontiers that force sparse→dense→sparse representation transitions.
 
 #include "core/frontier.hpp"
@@ -118,127 +119,6 @@ TEST(Frontier, HysteresisKeepsDenseInsideTheBand) {
   EXPECT_EQ(f.collect_mode(), FrontierMode::kSparse);
 }
 
-// ---------------------------------------------------------------------------
-// Sampled frontier sizing (FrontierOptions::sampled_size_estimate): the
-// probe-based estimate that replaces the exact sealed-size count in the
-// dense→sparse switch. Universe 2^16 with 4096 probes gives dense_threshold
-// 4096, sparse_threshold 1024 and a 2σ noise margin of
-// 2·sqrt(1024·65536/4096) = 256 — so the down-switch needs estimate ≤ 768.
-// (4096 probes rather than the default 1024 keeps every asserted decision
-// ≥4σ away from its boundary: the draws are deterministic, but the test
-// should not hinge on which side of a coin flip the fixed seed landed.)
-
-constexpr NodeId kSampleN = 1u << 16;
-
-FrontierOptions sampled_opts() {
-  FrontierOptions o;
-  o.sampled_size_estimate = true;
-  o.size_probes = 4096;
-  return o;
-}
-
-/// Seals one dense round of about `target` evenly spaced nodes.
-void dense_round(Frontier& f, NodeId target) {
-  const NodeId stride = std::max<NodeId>(1, kSampleN / std::max<NodeId>(target, 1));
-  for (NodeId v = 0; v < kSampleN; v += stride) f.insert(v);
-  f.advance();
-}
-
-TEST(FrontierSampled, EstimateIsDeterministicAndInsertionOrderFree) {
-  Frontier a(kSampleN, sampled_opts());
-  Frontier b(kSampleN, sampled_opts());
-  // Go dense first (the estimate only serves dense collections).
-  dense_round(a, 8000);
-  dense_round(b, 8000);
-  ASSERT_EQ(a.collect_mode(), FrontierMode::kDense);
-  // Same set, opposite insertion orders: the bitmap — and therefore the
-  // probe-based estimate — is a pure function of the set and the seed.
-  for (NodeId v = 0; v < kSampleN; v += 3) a.insert(v);
-  for (NodeId v = kSampleN - 1; v > 0; --v) {
-    if (v % 3 == 0) b.insert(v);
-  }
-  b.insert(0);
-  const std::size_t ea = a.estimate_size();
-  EXPECT_EQ(ea, a.estimate_size());  // repeated calls agree
-  EXPECT_EQ(ea, b.estimate_size());  // order-independent
-  // And loosely accurate: true size ~21845, σ ≈ 485; allow a wide 4σ+ band.
-  EXPECT_NEAR(static_cast<double>(ea), kSampleN / 3.0, 3900.0);
-}
-
-TEST(FrontierSampled, DownSwitchNeedsEstimateBelowMarginNotThreshold) {
-  Frontier f(kSampleN, sampled_opts());
-  EXPECT_EQ(f.sparse_threshold(), 1024u);
-  EXPECT_EQ(f.estimate_noise_margin(), 256u);
-  dense_round(f, 8000);  // above dense_threshold 4096 → dense
-  ASSERT_EQ(f.collect_mode(), FrontierMode::kDense);
-
-  // Sealed ~1009 ≤ sparse_threshold: the exact policy would drop to sparse,
-  // but the estimate (~1009) does not clear threshold − margin = 768, so the
-  // sampled policy conservatively stays dense.
-  dense_round(f, 1000);
-  EXPECT_TRUE(f.last_decision_sampled());
-  EXPECT_EQ(f.collect_mode(), FrontierMode::kDense);
-
-  // A genuinely collapsed frontier estimates ≈ 0–50 ≤ 768 → sparse again.
-  dense_round(f, 12);
-  EXPECT_TRUE(f.last_decision_sampled());
-  EXPECT_EQ(f.collect_mode(), FrontierMode::kSparse);
-  // Back in sparse mode the estimator disengages (sizes are exact and free).
-  f.insert(1);
-  f.advance();
-  EXPECT_FALSE(f.last_decision_sampled());
-}
-
-TEST(FrontierSampled, NoOscillationWhenSizesHoverAtTheDownThreshold) {
-  // Regression for the satellite concern: frontier waves hovering around
-  // sparse_threshold must not flip representation on estimator noise. Every
-  // hovering round estimates far above threshold − margin, so the frontier
-  // stays dense for the whole wave; only the exact-size up-switch (4× higher)
-  // or a true collapse moves it.
-  Frontier f(kSampleN, sampled_opts());
-  dense_round(f, 8000);
-  ASSERT_EQ(f.collect_mode(), FrontierMode::kDense);
-  for (int round = 0; round < 8; ++round) {
-    dense_round(f, round % 2 == 0 ? 1000 : 1150);  // straddles 1024
-    EXPECT_EQ(f.collect_mode(), FrontierMode::kDense) << "round " << round;
-    EXPECT_TRUE(f.last_decision_sampled());
-  }
-}
-
-TEST(FrontierSampled, SmallUniversesKeepTheExactPolicy) {
-  // Below size_probes vertices the "estimate" would cost as much as the
-  // truth: sampling must not engage, and decisions match the exact policy.
-  FrontierOptions o = sampled_opts();
-  Frontier f(100, o);
-  for (NodeId v = 0; v < 50; ++v) f.insert(v);
-  f.advance();
-  EXPECT_FALSE(f.last_decision_sampled());
-  EXPECT_EQ(f.collect_mode(), FrontierMode::kDense);
-  f.insert(1);
-  f.advance();  // exact sealed size 1 → sparse, no sampling involved
-  EXPECT_FALSE(f.last_decision_sampled());
-  EXPECT_EQ(f.collect_mode(), FrontierMode::kSparse);
-}
-
-TEST(FrontierSampled, DeltaSteppingResultsIdenticalUnderSampledSizing) {
-  // The schedule knob never changes results: distances and every model
-  // counter match the exact-count policy on a graph whose frontier waves
-  // actually go dense (G(n,m) expansion blows past dense_threshold) on a
-  // universe larger than the probe count.
-  const Graph g = test::make_family(Family::kGnmUniform, 20000, 61);
-  sssp::DeltaSteppingOptions opts;
-  const auto exact = sssp::delta_stepping(g, 0, opts);
-  opts.frontier.sampled_size_estimate = true;
-  const auto sampled = sssp::delta_stepping(g, 0, opts);
-  EXPECT_EQ(exact.dist, sampled.dist);
-  EXPECT_EQ(exact.stats.messages, sampled.stats.messages);
-  EXPECT_EQ(exact.stats.node_updates, sampled.stats.node_updates);
-  EXPECT_EQ(exact.stats.relaxation_rounds, sampled.stats.relaxation_rounds);
-  // Only the representation classification may move between the policies.
-  EXPECT_EQ(exact.stats.sparse_rounds + exact.stats.dense_rounds,
-            sampled.stats.sparse_rounds + sampled.stats.dense_rounds);
-}
-
 TEST(Frontier, HysteresisBandNeverInverts) {
   FrontierOptions o;
   o.dense_fraction = 0.1;
@@ -272,14 +152,18 @@ TEST(Frontier, ContainsStableWhileDenseRoundCollects) {
 }
 
 TEST(Frontier, AdaptiveOffStaysSparse) {
+  // dense_fraction = 1.0 is how a candidate set pins the sparse
+  // representation: a sealed set of all n nodes does not exceed n.
   FrontierOptions o;
-  o.adaptive = false;
-  o.dense_fraction = 0.0;
+  o.dense_fraction = 1.0;
   Frontier f(50, o);
-  for (NodeId v = 0; v < 50; ++v) f.insert(v);
-  f.advance();
-  EXPECT_EQ(f.current_mode(), FrontierMode::kSparse);
-  EXPECT_EQ(f.collect_mode(), FrontierMode::kSparse);
+  for (int round = 0; round < 3; ++round) {
+    for (NodeId v = 0; v < 50; ++v) f.insert(v);
+    f.advance();
+    EXPECT_EQ(f.size(), 50u);
+    EXPECT_EQ(f.current_mode(), FrontierMode::kSparse);
+    EXPECT_EQ(f.collect_mode(), FrontierMode::kSparse);
+  }
 }
 
 TEST(Frontier, ClearForgetsCurrentAndPartialRounds) {
@@ -307,41 +191,30 @@ TEST(Frontier, ResetKeepsNothingAcrossRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Δ-stepping parity: adaptive vs baseline must agree bit-for-bit on
-// distances and every counter, for the flat kernel and all shard counts.
+// Δ-stepping parity: the kernel against the serial reference
+// (test::reference_delta_stepping) on distances, buckets and every model
+// counter, for the flat kernel and all shard counts, at the default
+// sparse/dense threshold and at an aggressive one that forces dense rounds.
+
 
 void expect_delta_parity(const Graph& g, NodeId source,
                          sssp::DeltaSteppingOptions opts,
                          double dense_fraction = 1.0 / 16.0) {
-  opts.frontier.adaptive = false;
-  const auto base = sssp::delta_stepping(g, source, opts);
-  opts.frontier.adaptive = true;
   opts.frontier.dense_fraction = dense_fraction;
-  const auto adap = sssp::delta_stepping(g, source, opts);
-
-  EXPECT_EQ(base.dist, adap.dist);
-  EXPECT_EQ(base.eccentricity, adap.eccentricity);
-  EXPECT_EQ(base.farthest, adap.farthest);
-  EXPECT_EQ(base.delta_used, adap.delta_used);
-  EXPECT_EQ(base.buckets_processed, adap.buckets_processed);
-  // Every shared RoundStats counter, field by field.
-  EXPECT_EQ(base.stats.relaxation_rounds, adap.stats.relaxation_rounds);
-  EXPECT_EQ(base.stats.auxiliary_rounds, adap.stats.auxiliary_rounds);
-  EXPECT_EQ(base.stats.messages, adap.stats.messages);
-  EXPECT_EQ(base.stats.node_updates, adap.stats.node_updates);
-  EXPECT_EQ(base.stats.cross_messages, adap.stats.cross_messages);
-  EXPECT_EQ(base.stats.cross_bytes, adap.stats.cross_bytes);
-  // Mode counters: zero on the baseline; a full classification on adaptive.
-  EXPECT_EQ(base.stats.sparse_rounds, 0u);
-  EXPECT_EQ(base.stats.dense_rounds, 0u);
-  EXPECT_EQ(adap.stats.sparse_rounds + adap.stats.dense_rounds,
-            adap.stats.relaxation_rounds);
+  const auto part = test::shards_for(g, opts.partition);
+  const test::DeltaReference ref =
+      test::reference_delta_stepping(g, source, opts.delta, part.get());
+  const auto r = sssp::delta_stepping(g, source, opts);
+  test::expect_delta_matches(r, ref);
+  // Every phase is classified by exactly one representation.
+  EXPECT_EQ(r.stats.sparse_rounds + r.stats.dense_rounds,
+            r.stats.relaxation_rounds);
 }
 
 class DeltaFrontierParity
     : public testing::TestWithParam<std::tuple<Family, std::uint32_t>> {};
 
-TEST_P(DeltaFrontierParity, BitIdenticalToBaseline) {
+TEST_P(DeltaFrontierParity, MatchesSerialReference) {
   const auto [family, k] = GetParam();
   const Graph g = test::make_family(family, 200, 29);
   for (const double mult : {0.5, 1.0, 8.0}) {
@@ -350,7 +223,6 @@ TEST_P(DeltaFrontierParity, BitIdenticalToBaseline) {
     opts.partition = {.num_partitions = k,
                       .strategy = mr::PartitionStrategy::kHash};
     SCOPED_TRACE(testing::Message() << "mult=" << mult << " k=" << k);
-    // Default threshold, plus an aggressive one that forces dense rounds.
     expect_delta_parity(g, 3, opts);
     expect_delta_parity(g, 3, opts, 0.005);
   }
@@ -477,8 +349,8 @@ TEST(SweepKernels, LegacyOverloadUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// Δ-growing parity: per-step labels and counters for each policy, adaptive
-// vs the adaptive=false baseline.
+// Δ-growing parity: per-step labels and counters of each policy against the
+// serial reference (test::reference_growing_step).
 
 core::GrowingStepParams uniform_params(Weight delta) {
   core::GrowingStepParams p;
@@ -491,52 +363,34 @@ void run_growing_parity(const Graph& g, core::GrowingPolicy policy,
                         std::uint32_t k, const core::GrowingStepParams& p,
                         double dense_fraction,
                         const std::vector<Weight>* center_budget = nullptr) {
-  const mr::PartitionOptions popts{.num_partitions = k,
-                                   .strategy = mr::PartitionStrategy::kHash};
-  core::GrowingEngine base(g, policy, popts);
-  core::GrowingEngine adap(g, policy, popts);
-  core::FrontierOptions off;
-  off.adaptive = false;
-  base.set_frontier_options(off);
-  core::FrontierOptions on;
-  on.dense_fraction = dense_fraction;
-  adap.set_frontier_options(on);
-
   core::GrowingStepParams params = p;
   params.center_budget = center_budget;
-  for (core::GrowingEngine* e : {&base, &adap}) {
-    e->set_source(0, 0);
-    e->set_source(g.num_nodes() / 3, g.num_nodes() / 3);
-    e->block(2);
-    e->set_source(2, 2);
-    e->rebuild_frontier(params);
-  }
-  std::uint64_t sparse = 0, dense = 0;
-  for (int step = 0; step < 64; ++step) {
-    const auto rb = base.step(params);
-    const auto ra = adap.step(params);
-    ASSERT_EQ(rb.messages, ra.messages)
-        << "policy " << static_cast<int>(policy) << " step " << step;
-    ASSERT_EQ(rb.updates, ra.updates);
-    ASSERT_EQ(rb.newly_labeled, ra.newly_labeled);
-    ASSERT_EQ(rb.cross_messages, ra.cross_messages);
-    ASSERT_EQ(rb.cross_bytes, ra.cross_bytes);
-    ASSERT_EQ(base.labels(), adap.labels()) << "step " << step;
-    // Baseline steps are unclassified; adaptive steps are exactly one mode.
-    ASSERT_EQ(rb.sparse_rounds + rb.dense_rounds, 0u);
-    ASSERT_EQ(ra.sparse_rounds + ra.dense_rounds, 1u);
-    sparse += ra.sparse_rounds;
-    dense += ra.dense_rounds;
-    if (ra.updates == 0) break;
-  }
-  EXPECT_GT(sparse + dense, 0u);
+  core::GrowingEngine engine(
+      g, policy,
+      {.num_partitions = k, .strategy = mr::PartitionStrategy::kHash});
+  core::FrontierOptions fo;
+  fo.dense_fraction = dense_fraction;
+  engine.set_frontier_options(fo);
+  test::GrowingReference ref(g.num_nodes());
+  auto seed = [&](auto& e) {
+    e.set_source(0, 0);
+    e.set_source(g.num_nodes() / 3, g.num_nodes() / 3);
+    e.block(2);
+    e.set_source(2, 2);
+    e.rebuild_frontier(params);
+  };
+  seed(engine);
+  seed(ref);
+  const core::GrowingStepResult total =
+      test::step_against_reference(g, engine, ref, params, 64);
+  EXPECT_GT(total.sparse_rounds + total.dense_rounds, 0u);
 }
 
 class GrowingFrontierParity
     : public testing::TestWithParam<
           std::tuple<core::GrowingPolicy, Family, std::uint32_t>> {};
 
-TEST_P(GrowingFrontierParity, StepsBitIdenticalToBaseline) {
+TEST_P(GrowingFrontierParity, StepsMatchSerialReference) {
   const auto [policy, family, k] = GetParam();
   const Graph g = test::make_family(family, 200, 55);
   const core::GrowingStepParams p = uniform_params(2.0 * g.avg_weight());
@@ -549,8 +403,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(core::GrowingPolicy::kPush,
                                      core::GrowingPolicy::kPull,
                                      core::GrowingPolicy::kPartitioned),
-                     testing::Values(Family::kMeshUniform, Family::kRmatGiant,
-                                     Family::kPathHeavyTail),
+                     testing::ValuesIn(test::all_families()),
                      testing::Values(1u, 2u, 7u)),
     [](const auto& info) {
       const auto policy = std::get<0>(info.param);
@@ -562,14 +415,16 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
+constexpr core::GrowingPolicy kAllPolicies[] = {
+    core::GrowingPolicy::kPush, core::GrowingPolicy::kPull,
+    core::GrowingPolicy::kPartitioned};
+
 TEST(GrowingFrontierParity, DisconnectedGraphAllPolicies) {
   GraphBuilder b(120);
   for (NodeId u = 0; u + 1 < 60; ++u) b.add_edge(u, u + 1, 1.0);
   for (NodeId u = 61; u + 1 < 120; ++u) b.add_edge(u, u + 1, 1.0);
   const Graph g = b.build();
-  for (const auto policy :
-       {core::GrowingPolicy::kPush, core::GrowingPolicy::kPull,
-        core::GrowingPolicy::kPartitioned}) {
+  for (const auto policy : kAllPolicies) {
     run_growing_parity(g, policy, 3, uniform_params(500.0), 0.05);
   }
 }
@@ -582,103 +437,76 @@ TEST(GrowingFrontierParity, PerCenterBudgetsAllPolicies) {
   budgets[2] = 2.0 * g.avg_weight();
   core::GrowingStepParams p;
   p.light_threshold = 4.0 * g.avg_weight();
-  for (const auto policy :
-       {core::GrowingPolicy::kPush, core::GrowingPolicy::kPull,
-        core::GrowingPolicy::kPartitioned}) {
+  for (const auto policy : kAllPolicies) {
     run_growing_parity(g, policy, 2, p, 0.02, &budgets);
   }
 }
 
 TEST(GrowingFrontierParity, HubPathForcesModeTransitions) {
   // Single-vertex frontiers right before and after the hub burst: the
-  // adaptive engine must cross sparse→dense→sparse and stay in lockstep.
+  // engine must cross sparse→dense→sparse and stay in lockstep.
   const Graph g = hub_path_graph(9, 120);
-  for (const auto policy :
-       {core::GrowingPolicy::kPush, core::GrowingPolicy::kPull,
-        core::GrowingPolicy::kPartitioned}) {
-    const mr::PartitionOptions popts{.num_partitions = 2};
-    core::GrowingEngine base(g, policy, popts);
-    core::GrowingEngine adap(g, policy, popts);
-    core::FrontierOptions off;
-    off.adaptive = false;
-    base.set_frontier_options(off);
-    core::FrontierOptions on;
-    on.dense_fraction = 0.1;
-    adap.set_frontier_options(on);
+  for (const auto policy : kAllPolicies) {
+    core::GrowingEngine engine(g, policy, {.num_partitions = 2});
+    core::FrontierOptions fo;
+    fo.dense_fraction = 0.1;
+    engine.set_frontier_options(fo);
+    test::GrowingReference ref(g.num_nodes());
     const core::GrowingStepParams p = uniform_params(1000.0);
-    for (core::GrowingEngine* e : {&base, &adap}) {
-      e->set_source(0, 0);
-      e->rebuild_frontier(p);
-    }
-    std::uint64_t sparse = 0, dense = 0;
-    for (int step = 0; step < 32; ++step) {
-      const auto rb = base.step(p);
-      const auto ra = adap.step(p);
-      ASSERT_EQ(rb.messages, ra.messages) << "step " << step;
-      ASSERT_EQ(rb.updates, ra.updates);
-      ASSERT_EQ(base.labels(), adap.labels());
-      sparse += ra.sparse_rounds;
-      dense += ra.dense_rounds;
-      if (ra.updates == 0) break;
-    }
-    EXPECT_GT(sparse, 0u) << "policy " << static_cast<int>(policy);
-    EXPECT_GT(dense, 0u) << "policy " << static_cast<int>(policy);
+    engine.set_source(0, 0);
+    engine.rebuild_frontier(p);
+    ref.set_source(0, 0);
+    ref.rebuild_frontier();
+    const core::GrowingStepResult total =
+        test::step_against_reference(g, engine, ref, p, 32);
+    EXPECT_GT(total.sparse_rounds, 0u) << "policy " << static_cast<int>(policy);
+    EXPECT_GT(total.dense_rounds, 0u) << "policy " << static_cast<int>(policy);
   }
 }
 
-// Raising the budget mid-run (a CLUSTER stage bump) rebuilds the adaptive
-// frontier from the labels; both engines must stay in lockstep through it.
+// Raising the budget mid-run (a CLUSTER stage bump) rebuilds the frontier
+// from the labels; the engine must stay in lockstep through it.
 TEST(GrowingFrontierParity, ThresholdBumpRebuild) {
   const Graph g = test::make_family(Family::kGnmUniform, 150, 13);
-  for (const auto policy :
-       {core::GrowingPolicy::kPush, core::GrowingPolicy::kPull}) {
-    core::GrowingEngine base(g, policy);
-    core::GrowingEngine adap(g, policy);
-    core::FrontierOptions off;
-    off.adaptive = false;
-    base.set_frontier_options(off);
-    for (core::GrowingEngine* e : {&base, &adap}) e->set_source(0, 0);
+  for (const auto policy : kAllPolicies) {
+    core::GrowingEngine engine(g, policy, {.num_partitions = 3});
+    test::GrowingReference ref(g.num_nodes());
+    engine.set_source(0, 0);
+    ref.set_source(0, 0);
     for (const double mult : {1.0, 2.0, 4.0}) {
+      SCOPED_TRACE(testing::Message() << "mult " << mult);
       const core::GrowingStepParams p = uniform_params(mult * g.avg_weight());
-      base.rebuild_frontier(p);
-      adap.rebuild_frontier(p);
-      for (int step = 0; step < 32; ++step) {
-        const auto rb = base.step(p);
-        const auto ra = adap.step(p);
-        ASSERT_EQ(rb.messages, ra.messages) << "mult " << mult;
-        ASSERT_EQ(rb.updates, ra.updates);
-        ASSERT_EQ(base.labels(), adap.labels());
-        if (ra.updates == 0) break;
-      }
+      engine.rebuild_frontier(p);
+      ref.rebuild_frontier();
+      test::step_against_reference(g, engine, ref, p, 32);
     }
   }
 }
 
-// Whole-algorithm parity: CLUSTER on the default adaptive engines produces
-// the same decomposition and work counters as the legacy baseline (the mode
-// counters are the adaptive run's extra classification).
-TEST(GrowingFrontierParity, ClusterWholeAlgorithmCounters) {
+// Whole-algorithm parity: CLUSTER decomposes identically, with identical
+// work counters, on every policy (the per-step suites above pin each one
+// against the reference; this pins the stage driver around them).
+TEST(GrowingFrontierParity, ClusterWholeAlgorithmAgreesAcrossPolicies) {
   const Graph g = test::make_family(Family::kMeshUniform, 300, 3);
+  core::ClusterOptions opts;
+  opts.tau = 4;
+  opts.seed = 17;
+  opts.policy = core::GrowingPolicy::kPush;
+  const core::Clustering push = core::cluster(g, opts);
+  EXPECT_TRUE(push.validate(g));
+  EXPECT_EQ(push.stats.sparse_rounds + push.stats.dense_rounds,
+            push.stats.relaxation_rounds);
   for (const auto policy :
-       {core::GrowingPolicy::kPush, core::GrowingPolicy::kPull}) {
-    core::ClusterOptions opts;
-    opts.tau = 4;
-    opts.seed = 17;
+       {core::GrowingPolicy::kPull, core::GrowingPolicy::kPartitioned}) {
     opts.policy = policy;
-    const core::Clustering adaptive = core::cluster(g, opts);
-    opts.frontier.adaptive = false;
-    const core::Clustering baseline = core::cluster(g, opts);
-    EXPECT_TRUE(adaptive.validate(g));
-    EXPECT_EQ(adaptive.center_of, baseline.center_of);
-    EXPECT_EQ(adaptive.dist_to_center, baseline.dist_to_center);
-    EXPECT_EQ(adaptive.stats.relaxation_rounds,
-              baseline.stats.relaxation_rounds);
-    EXPECT_EQ(adaptive.stats.auxiliary_rounds, baseline.stats.auxiliary_rounds);
-    EXPECT_EQ(adaptive.stats.messages, baseline.stats.messages);
-    EXPECT_EQ(adaptive.stats.node_updates, baseline.stats.node_updates);
-    EXPECT_EQ(adaptive.stats.sparse_rounds + adaptive.stats.dense_rounds,
-              adaptive.stats.relaxation_rounds);
-    EXPECT_EQ(baseline.stats.sparse_rounds + baseline.stats.dense_rounds, 0u);
+    opts.partition.num_partitions = 3;
+    const core::Clustering other = core::cluster(g, opts);
+    EXPECT_EQ(other.center_of, push.center_of);
+    EXPECT_EQ(other.dist_to_center, push.dist_to_center);
+    EXPECT_EQ(other.stats.relaxation_rounds, push.stats.relaxation_rounds);
+    EXPECT_EQ(other.stats.auxiliary_rounds, push.stats.auxiliary_rounds);
+    EXPECT_EQ(other.stats.messages, push.stats.messages);
+    EXPECT_EQ(other.stats.node_updates, push.stats.node_updates);
   }
 }
 

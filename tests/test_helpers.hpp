@@ -1,12 +1,23 @@
 #pragma once
 // Shared fixtures for the gdiam test suite: small-graph factories with known
-// answers and a brute-force APSP reference.
+// answers, a brute-force APSP reference, and serial references for the
+// Δ-growing step and Δ-stepping that the kernel parity suites compare
+// against.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "core/growing.hpp"
+#include "core/labels.hpp"
 #include "gen/basic.hpp"
 #include "gen/mesh.hpp"
 #include "gen/rmat.hpp"
@@ -14,6 +25,9 @@
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/graph.hpp"
+#include "mr/partition.hpp"
+#include "mr/stats.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "util/rng.hpp"
 
 namespace gdiam::test {
@@ -131,6 +145,273 @@ inline Graph make_family(Family f, NodeId n, std::uint64_t seed) {
 inline std::vector<Family> all_families() {
   return {Family::kTreePlusChords, Family::kMeshUniform, Family::kGnmUniform,
           Family::kRmatGiant, Family::kPathHeavyTail};
+}
+
+// ---------------------------------------------------------------------------
+// Serial references. Single-threaded loops over each node's full adjacency
+// with the light/heavy weight test as a branch, no Frontier and no presplit
+// layout: the round semantics every frontier representation, adjacency
+// layout, policy and transport must reproduce bit-for-bit, counters
+// included. Cross counters classify a message by Partition::owner of its
+// two endpoints, which is where the BSP backends route it.
+
+/// The shard layout the partitioned kernels build for `popts` (a pure
+/// function of graph and options), or null for the flat kernels (K ≤ 1).
+inline std::unique_ptr<mr::Partition> shards_for(
+    const Graph& g, const mr::PartitionOptions& popts) {
+  if (popts.num_partitions <= 1 || g.num_nodes() == 0) return nullptr;
+  return std::make_unique<mr::Partition>(g, popts);
+}
+
+/// Δ-growing state stepped by reference_growing_step: labels, the blocked
+/// (contracted) set, and the senders of the next step.
+struct GrowingReference {
+  std::vector<core::PackedLabel> labels;
+  std::vector<std::uint8_t> blocked;
+  std::vector<std::uint8_t> senders;
+
+  explicit GrowingReference(NodeId n)
+      : labels(n, core::kUnassignedLabel), blocked(n, 0), senders(n, 0) {}
+
+  void set_source(NodeId u, NodeId center, Weight dist = 0.0) {
+    labels[u] = core::pack_label(static_cast<float>(dist), center);
+  }
+  void block(NodeId u) { blocked[u] = 1; }
+  /// GrowingEngine::rebuild_frontier: every labeled node proposes again
+  /// (one beyond its budget proposes nothing, so the params are not needed).
+  void rebuild_frontier(const core::GrowingStepParams& /*params*/ = {}) {
+    for (std::size_t u = 0; u < labels.size(); ++u) {
+      senders[u] = core::label_assigned(labels[u]) ? 1 : 0;
+    }
+  }
+};
+
+/// One synchronous Δ-growing step: every sender whose label is within its
+/// center's budget proposes d_u + w over each light edge that stays within
+/// the budget to each unblocked neighbor; each node keeps the minimum of its
+/// label and its proposals. Nodes whose label changed send next step.
+inline core::GrowingStepResult reference_growing_step(
+    const Graph& g, GrowingReference& st, const core::GrowingStepParams& params,
+    const mr::Partition* part = nullptr) {
+  core::GrowingStepResult out;
+  const NodeId n = g.num_nodes();
+  std::vector<core::PackedLabel> next = st.labels;
+  for (NodeId u = 0; u < n; ++u) {
+    if (!st.senders[u]) continue;
+    const core::PackedLabel lab = st.labels[u];
+    if (!core::label_assigned(lab)) continue;
+    const float b = core::label_dist(lab);
+    const NodeId c = core::label_center(lab);
+    const Weight budget = params.center_budget == nullptr
+                              ? params.uniform_budget
+                              : (*params.center_budget)[c];
+    if (!(static_cast<Weight>(b) < budget)) continue;
+    const auto nbr = g.neighbors(u);
+    const auto wts = g.weights(u);
+    for (std::size_t i = 0; i < nbr.size(); ++i) {
+      const Weight w = wts[i];
+      if (w > params.light_threshold) continue;
+      const Weight nb = static_cast<Weight>(b) + w;
+      if (nb > budget) continue;
+      const NodeId v = nbr[i];
+      if (st.blocked[v]) continue;
+      ++out.messages;
+      if (part != nullptr && part->owner(u) != part->owner(v)) {
+        ++out.cross_messages;
+        out.cross_bytes += sizeof(core::LabelProposal);
+      }
+      next[v] = std::min(next[v], core::pack_label(static_cast<float>(nb), c));
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    st.senders[v] = next[v] != st.labels[v] ? 1 : 0;
+    if (st.senders[v] == 0) continue;
+    ++out.updates;
+    if (st.labels[v] == core::kUnassignedLabel) ++out.newly_labeled;
+  }
+  st.labels.swap(next);
+  return out;
+}
+
+/// A kernel step's model counters against the reference step's.
+inline void expect_step_matches(const core::GrowingStepResult& got,
+                                const core::GrowingStepResult& want) {
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.updates, want.updates);
+  EXPECT_EQ(got.newly_labeled, want.newly_labeled);
+  EXPECT_EQ(got.cross_messages, want.cross_messages);
+  EXPECT_EQ(got.cross_bytes, want.cross_bytes);
+}
+
+/// Steps `engine` and `ref` in lockstep under `params` until the reference
+/// reaches its fixpoint or `max_steps` ran, comparing every step's counters
+/// and the labels after it; cross traffic is classified by the engine's own
+/// shard layout. Every step must be classified sparse or dense. Returns the
+/// engine's counters summed over the steps.
+inline core::GrowingStepResult step_against_reference(
+    const Graph& g, core::GrowingEngine& engine, GrowingReference& ref,
+    const core::GrowingStepParams& params, int max_steps) {
+  core::GrowingStepResult total;
+  for (int step = 0; step < max_steps; ++step) {
+    SCOPED_TRACE(testing::Message()
+                 << "policy " << static_cast<int>(engine.policy()) << " step "
+                 << step);
+    const core::GrowingStepResult got = engine.step(params);
+    const core::GrowingStepResult want =
+        reference_growing_step(g, ref, params, engine.partition());
+    expect_step_matches(got, want);
+    EXPECT_EQ(engine.labels(), ref.labels);
+    EXPECT_EQ(got.sparse_rounds + got.dense_rounds, 1u);
+    if (testing::Test::HasFailure()) break;
+    total.sparse_rounds += got.sparse_rounds;
+    total.dense_rounds += got.dense_rounds;
+    total.wire_bytes += got.wire_bytes;
+    if (want.updates == 0) break;
+  }
+  return total;
+}
+
+/// What reference_delta_stepping computes: the distances, the outer step
+/// count and the model counters of sssp::DeltaSteppingResult (the
+/// sparse/dense and wire counters excepted — they describe an execution,
+/// not the algorithm).
+struct DeltaReference {
+  std::vector<Weight> dist;
+  Weight eccentricity = 0.0;
+  NodeId farthest = kInvalidNode;
+  std::uint64_t buckets_processed = 0;
+  mr::RoundStats stats;
+};
+
+/// Meyer–Sanders Δ-stepping, serially: buckets by absolute index with one
+/// queued marker per node (a node re-queued into the bucket it already sits
+/// in is not added twice; draining forgets the marker), light phases until
+/// the current bucket stays empty or `max_phases_per_bucket` fires, then one
+/// heavy phase from every node settled in the bucket. Each phase relaxes
+/// from distances snapshotted at phase start; a node improved several times
+/// in one phase is one update. `delta` 0 picks the average edge weight, as
+/// the kernel does.
+inline DeltaReference reference_delta_stepping(
+    const Graph& g, NodeId source, Weight delta = 0.0,
+    const mr::Partition* part = nullptr,
+    std::uint64_t max_phases_per_bucket = 0) {
+  const NodeId n = g.num_nodes();
+  if (delta <= 0.0) delta = g.avg_weight();
+  if (delta <= 0.0) delta = 1.0;
+  DeltaReference out;
+  out.dist.assign(n, kInfiniteWeight);
+  out.dist[source] = 0.0;
+  auto bucket_of = [&](Weight d) { return static_cast<std::uint64_t>(d / delta); };
+
+  constexpr std::uint64_t kNoBucket = ~0ULL;
+  std::map<std::uint64_t, std::vector<NodeId>> buckets;
+  std::vector<std::uint64_t> queued_in(n, kNoBucket);
+  std::uint64_t queued = 0;
+  auto push = [&](NodeId v, std::uint64_t b) {
+    if (queued_in[v] == b) return;
+    queued_in[v] = b;
+    buckets[b].push_back(v);
+    ++queued;
+  };
+  auto relax = [&](const std::vector<NodeId>& from, bool light) {
+    ++out.stats.relaxation_rounds;
+    std::vector<std::pair<NodeId, Weight>> snapshot;
+    for (const NodeId v : from) snapshot.emplace_back(v, out.dist[v]);
+    std::vector<NodeId> improved;
+    std::vector<std::uint8_t> seen(n, 0);
+    for (const auto& [u, du] : snapshot) {
+      const auto nbr = g.neighbors(u);
+      const auto wts = g.weights(u);
+      for (std::size_t i = 0; i < nbr.size(); ++i) {
+        const Weight w = wts[i];
+        if ((w <= delta) != light) continue;
+        const NodeId v = nbr[i];
+        ++out.stats.messages;
+        if (part != nullptr && part->owner(u) != part->owner(v)) {
+          ++out.stats.cross_messages;
+          out.stats.cross_bytes += sizeof(sssp::DistProposal);
+        }
+        if (du + w < out.dist[v]) {
+          out.dist[v] = du + w;
+          if (seen[v] == 0) {
+            seen[v] = 1;
+            improved.push_back(v);
+          }
+        }
+      }
+    }
+    out.stats.node_updates += improved.size();
+    return improved;
+  };
+
+  push(source, 0);
+  std::uint64_t cur = 0;
+  while (queued > 0) {
+    ++out.stats.auxiliary_rounds;  // bucket selection
+    const auto next = buckets.lower_bound(cur);
+    if (next == buckets.end()) break;
+    cur = next->first;
+
+    std::vector<NodeId> settled;
+    std::vector<std::uint8_t> is_settled(n, 0);
+    std::uint64_t phases = 0;
+    while (buckets.count(cur) != 0) {
+      std::vector<NodeId> drained = std::move(buckets[cur]);
+      buckets.erase(cur);
+      queued -= drained.size();
+      std::vector<NodeId> active;
+      for (const NodeId v : drained) {
+        queued_in[v] = kNoBucket;
+        if (bucket_of(out.dist[v]) == cur) active.push_back(v);
+      }
+      if (active.empty()) break;
+      for (const NodeId v : active) {
+        if (is_settled[v] == 0) {
+          is_settled[v] = 1;
+          settled.push_back(v);
+        }
+      }
+      for (const NodeId v : relax(active, /*light=*/true)) {
+        const std::uint64_t b = bucket_of(out.dist[v]);
+        if (b >= cur) push(v, b);
+      }
+      if (max_phases_per_bucket != 0 && ++phases >= max_phases_per_bucket) {
+        break;
+      }
+    }
+    if (!settled.empty()) {
+      for (const NodeId v : relax(settled, /*light=*/false)) {
+        push(v, bucket_of(out.dist[v]));
+      }
+    }
+    ++out.buckets_processed;
+    if (buckets.count(cur) == 0) ++cur;
+  }
+
+  out.farthest = source;
+  for (NodeId u = 0; u < n; ++u) {
+    if (out.dist[u] != kInfiniteWeight && out.dist[u] > out.eccentricity) {
+      out.eccentricity = out.dist[u];
+      out.farthest = u;
+    }
+  }
+  return out;
+}
+
+/// A Δ-stepping run against the reference: distances, eccentricity,
+/// farthest node, buckets and every model counter.
+inline void expect_delta_matches(const sssp::DeltaSteppingResult& got,
+                                 const DeltaReference& want) {
+  EXPECT_EQ(got.dist, want.dist);
+  EXPECT_EQ(got.eccentricity, want.eccentricity);
+  EXPECT_EQ(got.farthest, want.farthest);
+  EXPECT_EQ(got.buckets_processed, want.buckets_processed);
+  EXPECT_EQ(got.stats.relaxation_rounds, want.stats.relaxation_rounds);
+  EXPECT_EQ(got.stats.auxiliary_rounds, want.stats.auxiliary_rounds);
+  EXPECT_EQ(got.stats.messages, want.stats.messages);
+  EXPECT_EQ(got.stats.node_updates, want.stats.node_updates);
+  EXPECT_EQ(got.stats.cross_messages, want.stats.cross_messages);
+  EXPECT_EQ(got.stats.cross_bytes, want.stats.cross_bytes);
 }
 
 }  // namespace gdiam::test

@@ -10,6 +10,7 @@
 
 #include "gdiam.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace gdiam {
 namespace {

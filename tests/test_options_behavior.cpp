@@ -1,6 +1,7 @@
 // Behavior coverage for option knobs that the main suites exercise only at
-// their defaults: Δ-stepping result details, generator parameter edges, and
-// CLUSTER option semantics (gamma, stop_factor, delta_end evolution).
+// their defaults: command-line flag bookkeeping, Δ-stepping result details,
+// generator parameter edges, and CLUSTER option semantics (gamma,
+// stop_factor, delta_end evolution).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "graph/builder.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "test_helpers.hpp"
+#include "util/options.hpp"
 
 namespace gdiam {
 namespace {
@@ -51,6 +53,23 @@ TEST(DeltaSteppingDetails, DeltaLargerThanEccIsBellmanFordLike) {
   const auto r = sssp::delta_stepping(g, 0, o);
   EXPECT_EQ(r.buckets_processed, 1u);
   EXPECT_DOUBLE_EQ(r.eccentricity, 39.0);
+}
+
+TEST(OptionsParsing, UnreadFlagsAreReported) {
+  // `gdiam sssp g.bin --source 0 --partitons 4`: the command reads every
+  // flag it takes; the misspelled one stays unread and is rejected.
+  const char* argv[] = {"gdiam",       "sssp", "g.bin", "--source",
+                        "0",           "--partitons", "4", "--no-adaptive"};
+  const util::Options o(8, argv);
+  EXPECT_EQ(o.get_int("source", 1), 0);
+  EXPECT_EQ(o.get_uint32("partitions", 1), 1u);  // absent: the default
+  EXPECT_FALSE(o.has("transport"));
+  EXPECT_EQ(o.unread(),
+            (std::vector<std::string>{"no-adaptive", "partitons"}));
+  // has() counts as reading, like every get_*.
+  EXPECT_TRUE(o.has("partitons"));
+  EXPECT_TRUE(o.get_bool("no-adaptive", false));
+  EXPECT_TRUE(o.unread().empty());
 }
 
 TEST(GenEdges, RmatZeroNoiseIsValid) {

@@ -300,24 +300,35 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(param_info.param));
     });
 
+/// A plain graph as the quotient of its singleton clustering: every radius
+/// is 0, so quotient_diameters' augmented metric equals the plain one.
+QuotientGraph singleton_quotient(Graph g) {
+  QuotientGraph q;
+  q.cluster_radius.assign(g.num_nodes(), 0.0);
+  q.graph = std::move(g);
+  return q;
+}
+
 TEST(QuotientDiameter, ExactBelowThreshold) {
   const Graph g = test::make_family(Family::kGnmUniform, 100, 3);
   QuotientDiameterOptions o;
   o.exact_threshold = 200;
-  const QuotientDiameterResult r = quotient_diameter(g, o);
+  const QuotientDiametersResult r = quotient_diameters(singleton_quotient(g), o);
   EXPECT_TRUE(r.exact);
-  EXPECT_NEAR(r.diameter, test::brute_force_diameter(g), 1e-9);
+  EXPECT_NEAR(r.plain, test::brute_force_diameter(g), 1e-9);
+  EXPECT_EQ(r.plain, sssp::exact_diameter(g));
+  EXPECT_EQ(r.augmented, r.plain);
 }
 
 TEST(QuotientDiameter, SweepsAboveThreshold) {
-  const Graph g = gen::path(300);
   QuotientDiameterOptions o;
   o.exact_threshold = 10;
   o.sweeps = 4;
-  const QuotientDiameterResult r = quotient_diameter(g, o);
+  const QuotientDiametersResult r =
+      quotient_diameters(singleton_quotient(gen::path(300)), o);
   EXPECT_FALSE(r.exact);
   // Sweeps nail a path's diameter after the first bounce.
-  EXPECT_DOUBLE_EQ(r.diameter, 299.0);
+  EXPECT_DOUBLE_EQ(r.plain, 299.0);
 }
 
 TEST(QuotientDiameter, SweepNeverExceedsExact) {
@@ -326,14 +337,17 @@ TEST(QuotientDiameter, SweepNeverExceedsExact) {
   sweep_o.exact_threshold = 1;
   sweep_o.sweeps = 8;
   const Weight exact = sssp::exact_diameter(g);
-  const QuotientDiameterResult r = quotient_diameter(g, sweep_o);
-  EXPECT_LE(r.diameter, exact + 1e-9);
-  EXPECT_GT(r.diameter, 0.0);
+  const QuotientDiametersResult r =
+      quotient_diameters(singleton_quotient(g), sweep_o);
+  EXPECT_LE(r.plain, exact + 1e-9);
+  EXPECT_GT(r.plain, 0.0);
 }
 
 TEST(QuotientDiameter, EmptyGraph) {
-  const QuotientDiameterResult r = quotient_diameter(Graph{});
-  EXPECT_DOUBLE_EQ(r.diameter, 0.0);
+  const QuotientDiametersResult r =
+      quotient_diameters(singleton_quotient(Graph{}));
+  EXPECT_DOUBLE_EQ(r.plain, 0.0);
+  EXPECT_DOUBLE_EQ(r.augmented, 0.0);
 }
 
 TEST(QuotientDiameters, PlainAndAugmentedConsistent) {
@@ -349,7 +363,7 @@ TEST(QuotientDiameters, PlainAndAugmentedConsistent) {
   const QuotientDiametersResult both = quotient_diameters(q, qopts);
   ASSERT_TRUE(both.exact);
   // plain agrees with the standalone exact computation.
-  EXPECT_NEAR(both.plain, quotient_diameter(q.graph, qopts).diameter, 1e-9);
+  EXPECT_EQ(both.plain, sssp::exact_diameter(q.graph));
   // augmented ≥ plain (radii are nonnegative) and ≥ 2·max cluster radius.
   EXPECT_GE(both.augmented, both.plain);
   Weight max_r = 0.0;
@@ -357,9 +371,6 @@ TEST(QuotientDiameters, PlainAndAugmentedConsistent) {
   EXPECT_GE(both.augmented * (1.0 + 1e-12), 2.0 * max_r);
   // augmented ≤ the paper's classic bound plain + 2·max r.
   EXPECT_LE(both.augmented, both.plain + 2.0 * max_r + 1e-9);
-  // The radius-aware wrapper matches.
-  EXPECT_DOUBLE_EQ(quotient_diameter_radius_aware(q, qopts).diameter,
-                   both.augmented);
 }
 
 TEST(QuotientDiameters, ClusterRadiusPerCluster) {
@@ -468,9 +479,10 @@ TEST(QuotientDiameter, DisconnectedQuotientUsesLargestIntraComponentDistance) {
   GraphBuilder b(7);
   for (NodeId u = 0; u + 1 < 4; ++u) b.add_edge(u, u + 1, 2.0);  // diam 6
   b.add_edge(5, 6, 1.0);                                         // diam 1
-  const QuotientDiameterResult r = quotient_diameter(b.build());
+  const QuotientDiametersResult r =
+      quotient_diameters(singleton_quotient(b.build()));
   EXPECT_TRUE(r.exact);
-  EXPECT_DOUBLE_EQ(r.diameter, 6.0);
+  EXPECT_DOUBLE_EQ(r.plain, 6.0);
 }
 
 }  // namespace

@@ -377,6 +377,29 @@ TEST(Server, ErrorResponsesForBadRequests) {
   server.stop();
 }
 
+TEST(Server, RemovedFrontierFieldsAreBadRequests) {
+  // adaptive= and sampled-frontier= selected frontier baselines that no
+  // longer exist: a request still carrying them is refused, not served with
+  // the field silently ignored.
+  ServerOptions sopts;
+  sopts.socket_path = test_socket("removed");
+  Server server(sopts);
+  server.start();
+  for (const char* verb : {"estimate", "sssp"}) {
+    for (const char* field : {"adaptive", "sampled-frontier"}) {
+      Message req;
+      req.head = verb;
+      req.set("graph", "gen:path:nodes=10");
+      req.set(field, "1");
+      const Message resp = roundtrip(sopts.socket_path, req, false);
+      EXPECT_EQ(resp.head, "error") << verb << " " << field;
+      EXPECT_EQ(resp.get("code"), kErrBadRequest) << verb << " " << field;
+      EXPECT_NE(resp.get("message").find(field), std::string::npos);
+    }
+  }
+  server.stop();
+}
+
 TEST(Server, StatsAndShutdownVerbs) {
   ServerOptions sopts;
   sopts.socket_path = test_socket("stats");

@@ -1,7 +1,8 @@
 // Split-CSR layout (graph/split_csr.hpp): structural invariants of the
 // light-first reorder, and bit-exact parity of the presplit kernels against
-// the branch-filter baseline — distances, labels and every RoundStats
-// counter, on every graph family, flat and partitioned (K ∈ {1, 2, 7}).
+// the serial branch-filter references of test_helpers.hpp — distances,
+// labels and every RoundStats counter, on every graph family, flat and
+// partitioned (K ∈ {1, 2, 7}).
 
 #include "graph/split_csr.hpp"
 
@@ -125,32 +126,30 @@ TEST(SplitCsrBasics, PresplitCsrMatchesShardArrays) {
 }
 
 // ---------------------------------------------------------------------------
-// Δ-stepping parity: presplit on vs off must agree bit-for-bit on distances
-// and on every counter, for the flat kernel and all partitioned shard counts.
+// Δ-stepping parity: the presplit kernels against the serial reference
+// (test::reference_delta_stepping), which branch-filters the full adjacency —
+// distances and every model counter, flat and partitioned. The Δ values
+// include one equal to an edge weight, where w ≤ Δ must count as light.
+
 
 class DeltaSteppingSplitParity
     : public testing::TestWithParam<std::tuple<Family, std::uint32_t>> {};
 
-TEST_P(DeltaSteppingSplitParity, BitIdenticalToBranchFilter) {
+TEST_P(DeltaSteppingSplitParity, MatchesBranchFilterReference) {
   const auto [family, k] = GetParam();
   const Graph g = test::make_family(family, 200, 23);
-  for (const double mult : {0.5, 1.0, 8.0}) {
-    sssp::DeltaSteppingOptions branch;
-    branch.presplit = false;
-    branch.delta = mult * g.avg_weight();
-    branch.partition = {.num_partitions = k,
-                        .strategy = mr::PartitionStrategy::kHash};
-    sssp::DeltaSteppingOptions presplit = branch;
-    presplit.presplit = true;
-
-    const auto a = sssp::delta_stepping(g, 3, branch);
-    const auto b = sssp::delta_stepping(g, 3, presplit);
-    EXPECT_EQ(a.dist, b.dist) << "mult=" << mult;
-    EXPECT_EQ(a.eccentricity, b.eccentricity);
-    EXPECT_EQ(a.farthest, b.farthest);
-    EXPECT_EQ(a.delta_used, b.delta_used);
-    EXPECT_EQ(a.buckets_processed, b.buckets_processed);
-    EXPECT_EQ(a.stats, b.stats) << "mult=" << mult;  // every counter
+  const mr::PartitionOptions popts{.num_partitions = k,
+                                   .strategy = mr::PartitionStrategy::kHash};
+  const auto part = test::shards_for(g, popts);
+  for (const Weight delta : {0.5 * g.avg_weight(), g.avg_weight(),
+                             8.0 * g.avg_weight(), g.weights(0)[0]}) {
+    SCOPED_TRACE(testing::Message() << "delta=" << delta << " k=" << k);
+    sssp::DeltaSteppingOptions opts;
+    opts.delta = delta;
+    opts.partition = popts;
+    test::expect_delta_matches(
+        sssp::delta_stepping(g, 3, opts),
+        test::reference_delta_stepping(g, 3, delta, part.get()));
   }
 }
 
@@ -164,7 +163,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Δ-growing parity: per-step labels and counters, for each policy.
+// Δ-growing parity: per-step labels and counters of each policy against the
+// serial reference (test::reference_growing_step).
 
 core::GrowingStepParams uniform_params(Weight delta) {
   core::GrowingStepParams p;
@@ -176,47 +176,36 @@ core::GrowingStepParams uniform_params(Weight delta) {
 class GrowingSplitParity
     : public testing::TestWithParam<std::tuple<Family, std::uint32_t>> {};
 
-TEST_P(GrowingSplitParity, StepsBitIdenticalToBranchFilter) {
+TEST_P(GrowingSplitParity, StepsMatchBranchFilterReference) {
   const auto [family, k] = GetParam();
   const Graph g = test::make_family(family, 200, 55);
   const core::GrowingStepParams p = uniform_params(2.0 * g.avg_weight());
 
   const mr::PartitionOptions popts{.num_partitions = k,
                                    .strategy = mr::PartitionStrategy::kHash};
-  // One engine pair per policy; K only matters for kPartitioned.
+  // One engine per policy; K only matters for kPartitioned.
   for (const auto policy :
        {core::GrowingPolicy::kPush, core::GrowingPolicy::kPull,
         core::GrowingPolicy::kPartitioned}) {
-    core::GrowingEngine branch(g, policy, popts);
-    core::GrowingEngine split(g, policy, popts);
-    branch.set_presplit(false);
-    ASSERT_TRUE(split.presplit());
-    for (core::GrowingEngine* e : {&branch, &split}) {
-      e->set_source(0, 0);
-      e->set_source(g.num_nodes() / 3, g.num_nodes() / 3);
-      e->block(2);
-      e->set_source(2, 2);
-      e->rebuild_frontier(p);
-    }
-    for (int step = 0; step < 64; ++step) {
-      const auto ra = branch.step(p);
-      const auto rb = split.step(p);
-      ASSERT_EQ(ra.messages, rb.messages)
-          << "policy " << static_cast<int>(policy) << " step " << step;
-      ASSERT_EQ(ra.updates, rb.updates);
-      ASSERT_EQ(ra.newly_labeled, rb.newly_labeled);
-      ASSERT_EQ(ra.cross_messages, rb.cross_messages);
-      ASSERT_EQ(ra.cross_bytes, rb.cross_bytes);
-      ASSERT_EQ(branch.labels(), split.labels());
-      if (ra.updates == 0) break;
-    }
+    core::GrowingEngine engine(g, policy, popts);
+    test::GrowingReference ref(g.num_nodes());
+    auto seed = [&](auto& e) {
+      e.set_source(0, 0);
+      e.set_source(g.num_nodes() / 3, g.num_nodes() / 3);
+      e.block(2);
+      e.set_source(2, 2);
+    };
+    seed(engine);
+    seed(ref);
+    engine.rebuild_frontier(p);
+    ref.rebuild_frontier();
+    test::step_against_reference(g, engine, ref, p, 64);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     FamiliesAndShards, GrowingSplitParity,
-    testing::Combine(testing::Values(Family::kMeshUniform, Family::kRmatGiant,
-                                     Family::kPathHeavyTail),
+    testing::Combine(testing::ValuesIn(test::all_families()),
                      testing::Values(1u, 2u, 7u)),
     [](const auto& info) {
       return std::string(test::family_name(std::get<0>(info.param))) + "_k" +
@@ -224,27 +213,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Raising the threshold mid-run (a CLUSTER stage bump) must rebuild the
-// cached split and stay in lockstep with the branch path.
+// cached split and stay in lockstep with the reference.
 TEST(GrowingSplitCache, ThresholdChangeRebuildsSplit) {
   const Graph g = test::make_family(Family::kGnmUniform, 150, 13);
-  core::GrowingEngine branch(g, core::GrowingPolicy::kPush);
-  core::GrowingEngine split(g, core::GrowingPolicy::kPush);
-  branch.set_presplit(false);
-  for (core::GrowingEngine* e : {&branch, &split}) {
-    e->set_source(0, 0);
-  }
+  core::GrowingEngine engine(g, core::GrowingPolicy::kPush);
+  test::GrowingReference ref(g.num_nodes());
+  engine.set_source(0, 0);
+  ref.set_source(0, 0);
   for (const double mult : {1.0, 2.0, 4.0}) {
+    SCOPED_TRACE(testing::Message() << "mult " << mult);
     const core::GrowingStepParams p = uniform_params(mult * g.avg_weight());
-    branch.rebuild_frontier(p);
-    split.rebuild_frontier(p);
-    for (int step = 0; step < 32; ++step) {
-      const auto ra = branch.step(p);
-      const auto rb = split.step(p);
-      ASSERT_EQ(ra.messages, rb.messages) << "mult " << mult;
-      ASSERT_EQ(ra.updates, rb.updates);
-      ASSERT_EQ(branch.labels(), split.labels());
-      if (ra.updates == 0) break;
-    }
+    engine.rebuild_frontier(p);
+    ref.rebuild_frontier();
+    test::step_against_reference(g, engine, ref, p, 32);
   }
 }
 

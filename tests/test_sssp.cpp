@@ -134,6 +134,9 @@ TEST_P(DeltaSteppingMatchesDijkstra, DistancesEqual) {
       EXPECT_NEAR(r.dist[u], ref[u], 1e-9 * (1.0 + ref[u])) << "node " << u;
     }
   }
+  // Bit-exact against the serial reference, model counters included.
+  test::expect_delta_matches(
+      r, test::reference_delta_stepping(g, source, opts.delta));
   EXPECT_NEAR(r.eccentricity, *std::max_element(
       ref.begin(), ref.end(),
       [](Weight a, Weight b) {
@@ -202,6 +205,9 @@ TEST(DeltaStepping, PhaseCapStillExact) {
     DeltaSteppingOptions o;
     o.max_phases_per_bucket = 1;
     const DeltaSteppingResult r = delta_stepping(g, 1, o);
+    test::expect_delta_matches(
+        r, test::reference_delta_stepping(g, 1, 0.0, nullptr,
+                                          o.max_phases_per_bucket));
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (ref[u] == kInfiniteWeight) {
         EXPECT_EQ(r.dist[u], kInfiniteWeight);
@@ -336,29 +342,20 @@ TEST(RhoStepping, DeterministicAcrossRunsIncludingCounters) {
   EXPECT_EQ(a.buckets_processed, b.buckets_processed);
 }
 
-TEST(RhoStepping, LegacyNonAdaptivePathBitIdentical) {
+TEST(RhoStepping, DistancesMatchSerialReference) {
+  // Both kernels settle the same min-over-paths fixpoint, so ρ-stepping's
+  // distances equal the serial Δ-stepping reference's bit for bit.
   const Graph g = test::make_family(Family::kGnmUniform, 250, 37);
+  const test::DeltaReference ref = test::reference_delta_stepping(g, 2);
   DeltaSteppingOptions opts;
   opts.algorithm = exec::Algorithm::kRhoStepping;
-  const auto adaptive = rho_stepping(g, 2, opts);
-  opts.frontier.adaptive = false;
-  const auto legacy = rho_stepping(g, 2, opts);
-  EXPECT_EQ(adaptive.dist, legacy.dist);
-  EXPECT_EQ(adaptive.eccentricity, legacy.eccentricity);
-}
-
-TEST(RhoStepping, SampledFrontierSizingKeepsDistances) {
-  // The sampled size estimate may reshuffle the sparse/dense schedule of the
-  // improved sets but never the results (core/frontier.hpp).
-  const Graph g = test::make_family(Family::kMeshUniform, 400, 41);
-  DeltaSteppingOptions opts;
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  const auto exact = rho_stepping(g, 0, opts);
-  opts.frontier.sampled_size_estimate = true;
-  const auto sampled = rho_stepping(g, 0, opts);
-  EXPECT_EQ(exact.dist, sampled.dist);
-  EXPECT_EQ(exact.stats.messages, sampled.stats.messages);
-  EXPECT_EQ(exact.stats.node_updates, sampled.stats.node_updates);
+  for (const std::uint32_t k : {1u, 3u}) {
+    opts.partition.num_partitions = k;
+    const auto r = rho_stepping(g, 2, opts);
+    EXPECT_EQ(r.dist, ref.dist) << "k=" << k;
+    EXPECT_EQ(r.eccentricity, ref.eccentricity);
+    EXPECT_EQ(r.farthest, ref.farthest);
+  }
 }
 
 TEST(RhoStepping, BadSourceThrowsAndSingleNodeWorks) {

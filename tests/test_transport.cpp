@@ -461,43 +461,45 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-// The adaptive=false legacy rounds take the other compute path
-// (step_partitioned / the baseline improved sets); pin one configuration.
-TEST(TransportParity, NonAdaptiveBaselineBitIdentical) {
+// Every transport against the serial references: the partitioned
+// Δ-stepping run and a partitioned Δ-growing run, step by step, match
+// test::reference_delta_stepping / test::reference_growing_step on
+// distances, labels and every model counter (cross traffic included).
+TEST(TransportParity, MatchesSerialReference) {
   const Graph g = test::make_family(Family::kGnmUniform, 150, 7);
+  const PartitionOptions popts{.num_partitions = 4};
+  const auto part = test::shards_for(g, popts);
+  const test::DeltaReference dref =
+      test::reference_delta_stepping(g, 0, 0.0, part.get());
+  core::GrowingStepParams gp;
+  gp.light_threshold = 2.0 * g.avg_weight();
+  gp.uniform_budget = 3.0 * g.avg_weight();
 
-  sssp::DeltaSteppingOptions dopts;
-  dopts.partition.num_partitions = 4;
-  dopts.frontier.adaptive = false;
-  const sssp::DeltaSteppingResult dl = sssp::delta_stepping(g, 0, dopts);
-  dopts.transport = process_opts(2);
-  const sssp::DeltaSteppingResult dp = sssp::delta_stepping(g, 0, dopts);
-  EXPECT_EQ(dp.dist, dl.dist);
-  EXPECT_EQ(zero_wire(dp.stats), zero_wire(dl.stats));
-  EXPECT_GT(dp.stats.wire_bytes, 0u);
-  dopts.transport = pool_opts(2);
-  const sssp::DeltaSteppingResult dpool = sssp::delta_stepping(g, 0, dopts);
-  EXPECT_EQ(dpool.dist, dl.dist);
-  EXPECT_EQ(zero_wire(dpool.stats), zero_wire(dl.stats));
-  EXPECT_GT(dpool.stats.wire_bytes, 0u);
+  for (const TransportOptions& t :
+       {TransportOptions{}, process_opts(2), pool_opts(2)}) {
+    SCOPED_TRACE(testing::Message() << "transport " << static_cast<int>(t.kind));
+    sssp::DeltaSteppingOptions dopts;
+    dopts.partition = popts;
+    dopts.transport = t;
+    const sssp::DeltaSteppingResult d = sssp::delta_stepping(g, 0, dopts);
+    test::expect_delta_matches(d, dref);
+    EXPECT_EQ(d.stats.wire_bytes > 0, t.kind != TransportKind::kLocal);
 
-  core::ClusterOptions copts;
-  copts.tau = 2;
-  copts.stop_factor = 1.0;
-  copts.policy = core::GrowingPolicy::kPartitioned;
-  copts.partition.num_partitions = 4;
-  copts.frontier.adaptive = false;
-  const core::Clustering cl = core::cluster(g, copts);
-  copts.transport = process_opts(2);
-  const core::Clustering cp = core::cluster(g, copts);
-  EXPECT_EQ(cp.center_of, cl.center_of);
-  EXPECT_EQ(zero_wire(cp.stats), zero_wire(cl.stats));
-  EXPECT_GT(cp.stats.wire_bytes, 0u);
-  copts.transport = pool_opts(2);
-  const core::Clustering cpool = core::cluster(g, copts);
-  EXPECT_EQ(cpool.center_of, cl.center_of);
-  EXPECT_EQ(zero_wire(cpool.stats), zero_wire(cl.stats));
-  EXPECT_GT(cpool.stats.wire_bytes, 0u);
+    core::GrowingEngine engine(g, core::GrowingPolicy::kPartitioned, popts);
+    engine.set_transport_options(t);
+    test::GrowingReference gref(g.num_nodes());
+    for (const NodeId c : {NodeId{0}, NodeId{50}, NodeId{100}}) {
+      engine.set_source(c, c);
+      gref.set_source(c, c);
+    }
+    engine.block(50);
+    gref.block(50);
+    engine.rebuild_frontier(gp);
+    gref.rebuild_frontier();
+    const core::GrowingStepResult total =
+        test::step_against_reference(g, engine, gref, gp, 64);
+    EXPECT_EQ(total.wire_bytes > 0, t.kind != TransportKind::kLocal);
+  }
 }
 
 // The acceptance-criterion pipeline: CL-DIAM end to end, multi-process,

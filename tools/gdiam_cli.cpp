@@ -39,15 +39,15 @@ commands:
            [--weights unit|uniform|int|bimodal] [--seed S]
   stats    FILE [--sweeps K]
   estimate FILE [--tau T] [--seed S] [--cluster2] [--classic] [--pull]
-           [--partitions K] [--range-partition] [--no-adaptive]
-           [--sampled-frontier] [--transport local|process|pool]
+           [--partitions K] [--range-partition]
+           [--transport local|process|pool]
            [--processes P] [--placement none|round-robin|capacity]
            [--repeat N] [--reuse-context | --no-reuse-context]
   decompose FILE --out CLUSTERING.gdcl [--tau T] [--seed S]
             [--quotient QUOTIENT_GRAPH_FILE]
   sssp     FILE [--source U] [--algorithm delta|rho] [--delta D] [--rho N]
-           [--partitions K] [--range-partition] [--no-adaptive]
-           [--sampled-frontier] [--transport local|process|pool]
+           [--partitions K] [--range-partition]
+           [--transport local|process|pool]
            [--processes P] [--placement none|round-robin|capacity]
            [--repeat N] [--reuse-context | --no-reuse-context]
   convert  IN OUT
@@ -76,19 +76,14 @@ xnode=.../... cross-node traffic. The GDIAM_TOPOLOGY env var overrides the
 detected topology (e.g. "0-3;4-7"). Distances and model counters are
 bit-identical across placements; requires --partitions K > 1.
 
---no-adaptive disables the adaptive sparse/dense frontier engine and runs
-the legacy full-scan round paths (A/B baseline; results are identical, the
-cost line just loses its modes=S/D classification). --sampled-frontier
-replaces the exact sealed-size count in the frontier's dense->sparse switch
-with a ~1024-probe estimate (noise-margin guarded; results identical, only
-the representation schedule can move).
-
 --repeat N runs the estimate / sssp kernel N times and prints per-run wall
 times. By default every repetition shares one exec::Context (pooled engines
 and buffers, cached Δ-presplit and shard layouts — the steady-state serving
 configuration); --no-reuse-context gives each repetition a fresh context
 instead, making the context-reuse A/B of bench/micro_kernels reproducible
 from the command line. Results are identical either way.
+
+A flag the command does not take is a usage error.
 )");
   std::exit(error == nullptr ? 0 : 2);
 }
@@ -120,6 +115,16 @@ void store(const Graph& g, const std::string& path) {
 /// kernels will run on — the context's split cache keys on its address.
 void warm_from_mapping(const Graph& g, exec::Context& ctx) {
   if (const auto m = io::mapped_view(g)) ctx.adopt_presplits(g, *m);
+}
+
+/// Fails with a usage error on any flag the command never read — a typo
+/// like --partitons would otherwise silently run with the default. Call
+/// once every flag the command takes has been read.
+void reject_unread(const util::Options& o) {
+  const std::vector<std::string> unread = o.unread();
+  if (!unread.empty()) {
+    usage(("unknown flag --" + unread.front() + " for this command").c_str());
+  }
 }
 
 /// Shared --partitions / --range-partition parsing for estimate and sssp.
@@ -245,7 +250,9 @@ int cmd_generate(const util::Options& o) {
   } else {
     usage("unknown --family");
   }
-  g = apply_weights(g, o.get_string("weights", "keep"), seed ^ 0xabcd);
+  const std::string weights = o.get_string("weights", "keep");
+  reject_unread(o);
+  g = apply_weights(g, weights, seed ^ 0xabcd);
   store(g, out);
   std::printf("wrote %s: n=%u m=%llu, weights [%g, %g]\n", out.c_str(),
               g.num_nodes(), static_cast<unsigned long long>(g.num_edges()),
@@ -255,6 +262,8 @@ int cmd_generate(const util::Options& o) {
 
 int cmd_stats(const util::Options& o) {
   if (o.positional().size() < 2) usage("stats requires a graph file");
+  const auto sweeps = static_cast<unsigned>(o.get_int("sweeps", 4));
+  reject_unread(o);
   const Graph g = load(o.positional()[1]);
   const Components cc = connected_components(g);
   const DegreeStats deg = degree_stats(g);
@@ -268,7 +277,6 @@ int cmd_stats(const util::Options& o) {
               static_cast<unsigned long long>(deg.max));
   std::printf("weights:     min %g, avg %g, max %g\n", g.min_weight(),
               g.avg_weight(), g.max_weight());
-  const auto sweeps = static_cast<unsigned>(o.get_int("sweeps", 4));
   const Graph giant = cc.count > 1 ? largest_component(g).graph : g;
   std::printf("diameter:    >= %.6g (weighted, %u sweeps, giant component)\n",
               sssp::diameter_lower_bound(giant, sweeps, 1).lower_bound,
@@ -299,10 +307,8 @@ int cmd_estimate(const util::Options& o) {
   }
   opt.cluster.transport = parse_transport(o, opt.cluster.partition);
   opt.cluster.placement = parse_placement(o, opt.cluster.partition);
-  opt.cluster.frontier.adaptive = !o.get_bool("no-adaptive", false);
-  opt.cluster.frontier.sampled_size_estimate =
-      o.get_bool("sampled-frontier", false);
   const RepeatOptions rep = parse_repeat(o);
+  reject_unread(o);
 
   // One context for every repetition (the default), or a fresh one per run
   // (--no-reuse-context): the reproducible command-line version of the
@@ -336,11 +342,13 @@ int cmd_decompose(const util::Options& o) {
   if (o.positional().size() < 2) usage("decompose requires a graph file");
   const std::string out = o.get_string("out", "");
   if (out.empty()) usage("decompose requires --out");
+  const std::string qout = o.get_string("quotient", "");
   const Graph g = load(o.positional()[1]);
   core::ClusterOptions opt;
   opt.tau = static_cast<std::uint32_t>(o.get_int(
       "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
   opt.seed = static_cast<std::uint64_t>(o.get_int("seed", 1));
+  reject_unread(o);
   util::Timer t;
   const core::Clustering c = core::cluster(g, opt);
   core::write_clustering_file(c, out);
@@ -348,7 +356,6 @@ int cmd_decompose(const util::Options& o) {
               util::format_duration(t.seconds()).c_str(), c.num_clusters(),
               c.radius, opt.tau);
   std::printf("clustering written to %s\n", out.c_str());
-  const std::string qout = o.get_string("quotient", "");
   if (!qout.empty()) {
     const core::QuotientGraph q = core::build_quotient(g, c);
     store(q.graph, qout);
@@ -376,9 +383,8 @@ int cmd_sssp(const util::Options& o) {
   opt.partition = parse_partition(o);
   opt.transport = parse_transport(o, opt.partition);
   opt.placement = parse_placement(o, opt.partition);
-  opt.frontier.adaptive = !o.get_bool("no-adaptive", false);
-  opt.frontier.sampled_size_estimate = o.get_bool("sampled-frontier", false);
   const RepeatOptions rep = parse_repeat(o);
+  reject_unread(o);
 
   exec::Context shared_ctx;
   warm_from_mapping(g, shared_ctx);
@@ -404,6 +410,7 @@ int cmd_sssp(const util::Options& o) {
 
 int cmd_convert(const util::Options& o) {
   if (o.positional().size() < 3) usage("convert requires IN and OUT files");
+  reject_unread(o);
   const Graph g = load(o.positional()[1]);
   store(g, o.positional()[2]);
   std::printf("converted %s -> %s (n=%u, m=%llu)\n",

@@ -6,10 +6,10 @@
 // Verbs (see src/serve/protocol.hpp for the wire format):
 //   estimate  — CL-DIAM approximation; fields: graph= (required), tau=,
 //               seed=, cluster2=, classic=, partitions=, transport=,
-//               processes=, adaptive=, sampled-frontier=
+//               processes=
 //   sssp      — stepping-kernel SSSP; fields: graph= (required), source=,
 //               algorithm= (delta|rho), delta=, rho=, partitions=,
-//               transport=, processes=, adaptive=, sampled-frontier=
+//               transport=, processes=
 //   load      — preload a graph into the daemon's hot set
 //   stats     — serving counters and the resident-graph table
 //   shutdown  — ask the daemon to exit
