@@ -69,7 +69,7 @@ Clustering cluster(const Graph& g, const ClusterOptions& opts,
   GrowingEngine& engine = drv.engine();
 
   // Upper bound on the distance from each center to its cluster's current
-  // boundary; newly covered nodes get dist = offset(center) + stage label.
+  // boundary: the contraction walk's fallback base (core/partial_growth.hpp).
   std::vector<Weight> cluster_offset(n, 0.0);
 
   const double logn = std::max(1.0, std::log2(static_cast<double>(n)));
@@ -139,6 +139,7 @@ Clustering cluster(const Graph& g, const ClusterOptions& opts,
       }
       // Contracted clusters re-enter as zero-distance sources (Contract
       // re-attaches their frontier edges to the center, original weights).
+#pragma omp parallel for schedule(static, 4096)
       for (NodeId u = 0; u < n; ++u) {
         if (drv.is_covered(u)) engine.set_source(u, out.center_of[u]);
       }
@@ -185,62 +186,11 @@ Clustering cluster(const Graph& g, const ClusterOptions& opts,
     }
 
     // --- assignment + logical contraction (one MR round) ------------------
-    void contract() {
-      const NodeId n = g.num_nodes();
-      std::vector<NodeId> newly_covered;
-      for (NodeId u = 0; u < n; ++u) {
-        if (drv.is_covered(u)) continue;
-        if (!label_assigned(engine.label(u))) continue;
-        newly_covered.push_back(u);
-      }
-      // dist_to_center fix-up: the stage label d_v only measures the path
-      // from the cluster's *boundary* (Contract re-attaches frontier edges
-      // at original weight), so the distance to the center is recovered by
-      // walking the relaxation forest: processing newly covered nodes by
-      // increasing stage label, a node's true parent (the neighbor that set
-      // d_v = d_u + w) is already finalized, giving the exact weight of an
-      // actual center-to-v path — a tight, deterministic upper bound. When
-      // growth stopped early the parent's label may have shifted afterwards;
-      // the per-cluster boundary offset then serves as a safe fallback.
-      std::sort(newly_covered.begin(), newly_covered.end(),
-                [&](NodeId a, NodeId b) {
-                  const float da = label_dist(engine.label(a));
-                  const float db = label_dist(engine.label(b));
-                  if (da != db) return da < db;
-                  return a < b;
-                });
-      for (const NodeId v : newly_covered) {
-        const PackedLabel lab = engine.label(v);
-        const NodeId c = label_center(lab);
-        const float bv = label_dist(lab);
-        Weight best = kInfiniteWeight;
-        if (bv == 0.0f) {
-          best = 0.0;  // new center
-        } else {
-          const auto nbr = g.neighbors(v);
-          const auto wts = g.weights(v);
-          for (std::size_t i = 0; i < nbr.size(); ++i) {
-            const NodeId u = nbr[i];
-            // Any already-finalized member of the same cluster (covered in
-            // an earlier stage, or earlier in this sweep) certifies the real
-            // path center -> u -> v of weight dist(u) + w.
-            if (drv.is_covered(u) && out.center_of[u] == c &&
-                out.dist_to_center[u] != kInfiniteWeight) {
-              best = std::min(best, out.dist_to_center[u] + wts[i]);
-            }
-          }
-          if (best == kInfiniteWeight) {
-            best = cluster_offset[c] + static_cast<Weight>(bv);  // fallback
-          }
-        }
-        drv.cover(v, c, best);
-      }
-      // The boundary offset advances to the stage's final extent.
-      for (const NodeId v : newly_covered) {
-        cluster_offset[out.center_of[v]] =
-            std::max(cluster_offset[out.center_of[v]], out.dist_to_center[v]);
-      }
-    }
+    // Stage labels measure from the cluster's *boundary* (Contract
+    // re-attaches frontier edges at original weight), so the driver's
+    // relaxation-forest walk adds the boundary offset and advances it to
+    // the stage's final extent.
+    void contract() { drv.contract_stage(&cluster_offset); }
   };
 
   Rule rule{out,

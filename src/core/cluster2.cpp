@@ -51,7 +51,8 @@ Cluster2Result cluster2(const Graph& g, const Cluster2Options& opts,
   // (core/partial_growth.hpp): in iteration i uncovered nodes become centers
   // independently with probability 2^i / n, every cluster grows along light
   // (w ≤ 2·R_CL) edges under its per-center budget until no state changes,
-  // and everything reached is contracted at its label distance.
+  // and everything reached is contracted with a double-precision distance
+  // from the driver's relaxation-forest walk.
   std::uint32_t i = 0;
   struct Rule {
     Clustering& c2;
@@ -92,6 +93,7 @@ Cluster2Result cluster2(const Graph& g, const Cluster2Options& opts,
       const NodeId n = g.num_nodes();
       // Cluster born at iteration b may grow to total light-distance
       // (i − b + 1) · 2R_CL — the Contract2 weight-rescaling equivalence.
+#pragma omp parallel for schedule(static, 4096)
       for (NodeId u = 0; u < n; ++u) {
         if (engine.label(u) != kUnassignedLabel &&
             label_center(engine.label(u)) == u) {
@@ -107,15 +109,9 @@ Cluster2Result cluster2(const Graph& g, const Cluster2Options& opts,
     }
 
     // --- logical Contract2: everything reached becomes covered ------------
-    void contract() {
-      const NodeId n = g.num_nodes();
-      for (NodeId u = 0; u < n; ++u) {
-        if (drv.is_covered(u)) continue;
-        const PackedLabel lab = engine.label(u);
-        if (!label_assigned(lab)) continue;
-        drv.cover(u, label_center(lab), static_cast<Weight>(label_dist(lab)));
-      }
-    }
+    // Labels carry the total light-distance from the center, so the
+    // driver's relaxation-forest walk needs no boundary offset.
+    void contract() { drv.contract_stage(nullptr); }
   };
 
   Rule rule{c2,   drv, engine,  g, opts,  rng,

@@ -68,6 +68,7 @@ void GrowingEngine::reset() {
   const bool double_buffered = policy_ != GrowingPolicy::kPush;
   labels_.assign(n, kUnassignedLabel);
   blocked_.assign(n, 0);
+  steps_since_clear_ = 0;
   frontier_labels_.clear();
   scratch_.assign(double_buffered ? n : 0, kUnassignedLabel);
   ++resident_epoch_;  // blocked_ was cleared: pool workers must re-snapshot
@@ -102,7 +103,10 @@ void GrowingEngine::set_frontier_options(const FrontierOptions& opts) {
 }
 
 void GrowingEngine::clear_labels() {
-  std::fill(labels_.begin(), labels_.end(), kUnassignedLabel);
+  const NodeId n = g_.num_nodes();
+#pragma omp parallel for schedule(static, 4096)
+  for (NodeId u = 0; u < n; ++u) labels_[u] = kUnassignedLabel;
+  steps_since_clear_ = 0;
   frontier_labels_.clear();
   afrontier_.clear();
   for (auto& a : shard_active_) a.clear();
@@ -112,24 +116,48 @@ void GrowingEngine::set_source(NodeId u, NodeId center, Weight dist) {
   labels_[u] = pack_label(static_cast<float>(dist), center);
 }
 
+void GrowingEngine::block(std::span<const NodeId> wave) noexcept {
+#pragma omp parallel for schedule(static, 4096)
+  for (std::size_t i = 0; i < wave.size(); ++i) blocked_[wave[i]] = 1;
+  ++resident_epoch_;
+}
+
 // Re-derives the active set from the labels into the Frontier (and the
 // per-shard lists for kPartitioned). kPush enumerates only nodes that can
 // still propose under `params`; the pull/partitioned senders are every
-// labeled node (one beyond its budget proposes nothing).
+// labeled node (one beyond its budget proposes nothing). Each node is
+// inserted by exactly one thread, so insert_serial is safe; the frontier's
+// order is immaterial to every step. The per-shard lists are not: their
+// order is staging order, hence delivery order, so each shard's list is
+// filled by one thread in ascending id order (owned local ids ascend with
+// global ids, mr/partition.hpp).
 void GrowingEngine::rebuild_frontier(const GrowingStepParams& params) {
   const NodeId n = g_.num_nodes();
   afrontier_.clear();
-  for (auto& a : shard_active_) a.clear();
-  for (NodeId u = 0; u < n; ++u) {
-    const PackedLabel lab = labels_[u];
-    if (!label_assigned(lab)) continue;
-    if (policy_ == GrowingPolicy::kPush &&
-        !(label_dist(lab) < budget_of(params, label_center(lab)))) {
-      continue;
+  if (policy_ == GrowingPolicy::kPartitioned) {
+    const auto k = static_cast<std::int64_t>(partition_->num_partitions());
+#pragma omp parallel for schedule(dynamic, 1)
+    for (std::int64_t s = 0; s < k; ++s) {
+      const mr::Shard& sh = partition_->shard(static_cast<mr::ShardId>(s));
+      auto& active = shard_active_[static_cast<std::size_t>(s)];
+      active.clear();
+      for (NodeId l = 0; l < sh.num_owned; ++l) {
+        const NodeId u = sh.global_of_local[l];
+        if (!label_assigned(labels_[u])) continue;
+        afrontier_.insert_serial(u);
+        active.push_back(u);
+      }
     }
-    afrontier_.insert_serial(u);
-    if (policy_ == GrowingPolicy::kPartitioned) {
-      shard_active_[partition_->owner(u)].push_back(u);
+  } else {
+    const bool push = policy_ == GrowingPolicy::kPush;
+#pragma omp parallel for schedule(static, 4096)
+    for (NodeId u = 0; u < n; ++u) {
+      const PackedLabel lab = labels_[u];
+      if (!label_assigned(lab)) continue;
+      if (push && !(label_dist(lab) < budget_of(params, label_center(lab)))) {
+        continue;
+      }
+      afrontier_.insert_serial(u);
     }
   }
   afrontier_.advance();
@@ -199,11 +227,12 @@ void GrowingEngine::ensure_split(Weight threshold) {
 
 GrowingStepResult GrowingEngine::step(const GrowingStepParams& params) {
   ensure_split(params.light_threshold);
+  ++steps_since_clear_;
   switch (policy_) {
     case GrowingPolicy::kPush: return step_push(params);
-    case GrowingPolicy::kPartitioned: return step_partitioned_adaptive(params);
+    case GrowingPolicy::kPartitioned: return step_partitioned(params);
     case GrowingPolicy::kPull:
-    default: return step_pull_adaptive(params);
+    default: return step_pull(params);
   }
 }
 
@@ -277,8 +306,7 @@ GrowingStepResult GrowingEngine::step_push(const GrowingStepParams& params) {
 // light edge, so the candidate set covers every node that could receive a
 // message — restricting the scan changes no counter and no label, only the
 // number of segments touched (O(frontier volume) instead of O(n + m)).
-GrowingStepResult GrowingEngine::step_pull_adaptive(
-    const GrowingStepParams& params) {
+GrowingStepResult GrowingEngine::step_pull(const GrowingStepParams& params) {
   GrowingStepResult out;
   const NodeId n = g_.num_nodes();
   std::uint64_t messages = 0, updates = 0, newly = 0;
@@ -497,7 +525,7 @@ mr::StepInputCodec GrowingEngine::make_pool_codec() {
 // only touched slots are committed. Senders enumerate per-shard active
 // lists on sparse rounds and fall back to the owned-range scan with a
 // frontier membership test on dense ones. Labels commit in place.
-GrowingStepResult GrowingEngine::step_partitioned_adaptive(
+GrowingStepResult GrowingEngine::step_partitioned(
     const GrowingStepParams& params) {
   GrowingStepResult out;
   const std::uint32_t k = partition_->num_partitions();

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -135,11 +136,15 @@ class GrowingEngine {
   /// Marks `u` as a contracted-cluster member: it keeps proposing from its
   /// current label but never accepts updates. Mutates fork-time-resident
   /// state, so it advances the resident epoch: pool workers re-snapshot at
-  /// the next step (once per contraction wave, not per blocked node).
+  /// the next step.
   void block(NodeId u) noexcept {
     blocked_[u] = 1;
     ++resident_epoch_;
   }
+  /// Blocks a whole contraction wave on all threads. The resident epoch
+  /// advances once for the wave: transports compare epochs by inequality,
+  /// so one bump and one per node both mean "re-snapshot at the next step".
+  void block(std::span<const NodeId> wave) noexcept;
   [[nodiscard]] bool is_blocked(NodeId u) const noexcept {
     return blocked_[u] != 0;
   }
@@ -149,6 +154,14 @@ class GrowingEngine {
   }
   [[nodiscard]] const std::vector<PackedLabel>& labels() const noexcept {
     return labels_;
+  }
+
+  /// Δ-growing steps executed since the labels were last cleared (reset or
+  /// clear_labels). A step extends a relaxation chain by at most one hop,
+  /// so every current label is the float sum of a chain of at most this
+  /// many hops from a source (see label_chain_bound in core/labels.hpp).
+  [[nodiscard]] std::uint64_t steps_since_clear() const noexcept {
+    return steps_since_clear_;
   }
 
   /// Recomputes the active set from scratch: every labeled node that could
@@ -282,8 +295,8 @@ class GrowingEngine {
   };
 
   GrowingStepResult step_push(const GrowingStepParams& params);
-  GrowingStepResult step_pull_adaptive(const GrowingStepParams& params);
-  GrowingStepResult step_partitioned_adaptive(const GrowingStepParams& params);
+  GrowingStepResult step_pull(const GrowingStepParams& params);
+  GrowingStepResult step_partitioned(const GrowingStepParams& params);
 
   /// Fills pool_senders_ with the step's senders, per shard, in exactly the
   /// enumeration order the in-process compute would visit them — order is
@@ -317,6 +330,7 @@ class GrowingEngine {
   GrowingPolicy policy_;
   std::vector<PackedLabel> labels_;
   std::vector<std::uint8_t> blocked_;
+  std::uint64_t steps_since_clear_ = 0;
   // push policy state: labels of afrontier_.nodes() at step start
   std::vector<PackedLabel> frontier_labels_;
   // pull + partitioned policy state

@@ -14,6 +14,7 @@
 // precision inside the kernel (documented in DESIGN.md; full-precision
 // accumulation happens in the per-cluster distance bookkeeping).
 
+#include <cmath>
 #include <cstdint>
 
 #include "graph/graph.hpp"
@@ -43,6 +44,23 @@ inline constexpr PackedLabel kUnassignedLabel =
 
 [[nodiscard]] constexpr bool label_assigned(PackedLabel l) noexcept {
   return l != kUnassignedLabel && label_center(l) != kInvalidNode;
+}
+
+/// A double-precision upper bound on the weight of the relaxation chain
+/// behind a float label `d` that is at most `steps` hops long and starts at
+/// a source whose own distance is at most `offset`. Each hop rounds
+/// fl(b + w) to the nearest float, so it may lose up to 2⁻²⁴ of the chain
+/// weight: d can sit below the chain's true weight, and adding `d` to
+/// `offset` would not be an upper bound. The factor (1 + (steps+1)·2⁻²³)
+/// covers that loss for any chain of ≤ 2²⁴ hops. The factor
+/// (1 + (steps+1)·2⁻⁵²) and the final round-up cover the double rounding of
+/// a path sum of that many hops (DESIGN.md §3 "Label precision").
+[[nodiscard]] inline Weight label_chain_bound(Weight offset, float d,
+                                              std::uint64_t steps) noexcept {
+  const double hops = static_cast<double>(steps) + 1.0;
+  const Weight b = (offset + static_cast<Weight>(d) * (1.0 + hops * 0x1p-23)) *
+                   (1.0 + hops * 0x1p-52);
+  return std::nextafter(b, kInfiniteWeight);
 }
 
 }  // namespace gdiam::core

@@ -1,17 +1,16 @@
 // Tests for core/cluster.hpp — Algorithm CLUSTER(G, τ): coverage, center
-// structure, distance upper bounds, determinism, options, degenerate inputs.
+// structure, distance upper bounds, parity with the serial reference of
+// tests/test_helpers.hpp, determinism, options, degenerate inputs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "core/cluster.hpp"
 #include "gen/basic.hpp"
 #include "gen/mesh.hpp"
 #include "gen/weights.hpp"
 #include "graph/builder.hpp"
-#include "sssp/dijkstra.hpp"
 #include "test_helpers.hpp"
 
 namespace gdiam::core {
@@ -89,19 +88,7 @@ TEST_P(ClusterInvariants, ValidCoverRadiusAndDistanceBounds) {
   for (const Weight d : c.dist_to_center) max_d = std::max(max_d, d);
   EXPECT_DOUBLE_EQ(c.radius, max_d);
 
-  // dist_to_center upper-bounds the true distance to the assigned center —
-  // the property that makes the quotient estimate conservative.
-  std::set<NodeId> centers(c.centers.begin(), c.centers.end());
-  for (const NodeId ctr : centers) {
-    const auto d = sssp::dijkstra_distances(g, ctr);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (c.center_of[u] != ctr) continue;
-      ASSERT_NE(d[u], kInfiniteWeight)
-          << "cluster spans disconnected parts: " << u;
-      EXPECT_GE(c.dist_to_center[u] + 1e-4 * (1.0 + d[u]), d[u])
-          << "node " << u << " center " << ctr;
-    }
-  }
+  test::expect_distance_upper_bounds(g, c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -114,6 +101,98 @@ INSTANTIATE_TEST_SUITE_P(
              "_t" + std::to_string(std::get<1>(param_info.param)) + "_s" +
              std::to_string(std::get<2>(param_info.param));
     });
+
+TEST(Cluster, StepCappedRmatDistancesBoundDijkstra) {
+  // A growth stopped mid-wave — by the step cap or by the coverage target
+  // firing while labels are still in flux — leaves labels whose
+  // relaxation-forest parent has moved to another cluster, so contraction
+  // takes the label_chain_bound fallback; its distances must still bound
+  // Dijkstra's from above.
+  const Graph g = test::make_family(Family::kRmatGiant, 1024, 5);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    ClusterOptions o = opts_with_tau(2, seed);
+    o.max_steps_per_growth = 2;
+    const Clustering c = cluster(g, o);
+    ASSERT_TRUE(c.validate(g));
+    EXPECT_GT(test::reference_cluster(g, o).fallbacks, 0u);
+    test::expect_distance_upper_bounds(g, c);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parity: the parallel stage loop (parallel rebuilds, per-cluster
+// contraction walks, parallel finalize) against the serial reference, bit
+// for bit, under every growing policy.
+
+struct PolicyCase {
+  const char* name;
+  GrowingPolicy policy;
+  std::uint32_t partitions;
+};
+
+const PolicyCase kPolicyCases[] = {
+    {"push", GrowingPolicy::kPush, 1},
+    {"pull", GrowingPolicy::kPull, 1},
+    {"partitioned_k1", GrowingPolicy::kPartitioned, 1},
+    {"partitioned_k3", GrowingPolicy::kPartitioned, 3},
+};
+
+/// cluster() under every policy against reference_cluster; returns the
+/// reference's fallback count.
+std::uint64_t expect_policies_match_reference(const Graph& g,
+                                              ClusterOptions o) {
+  std::uint64_t fallbacks = 0;
+  for (const PolicyCase& pc : kPolicyCases) {
+    SCOPED_TRACE(pc.name);
+    o.policy = pc.policy;
+    o.partition.num_partitions = pc.partitions;
+    const auto shards =
+        pc.policy == GrowingPolicy::kPartitioned
+            ? test::shards_for(g, o.partition)
+            : nullptr;
+    const test::ClusterReference want =
+        test::reference_cluster(g, o, shards.get());
+    const Clustering got = cluster(g, o);
+    test::expect_cluster_matches(got, want.clustering);
+    fallbacks = want.fallbacks;
+  }
+  return fallbacks;
+}
+
+class ClusterParity
+    : public testing::TestWithParam<
+          std::tuple<Family, std::uint32_t, std::uint64_t>> {};
+
+TEST_P(ClusterParity, MatchesSerialReference) {
+  const auto [family, tau, seed] = GetParam();
+  const Graph g = test::make_family(family, 250, seed);
+  expect_policies_match_reference(g, opts_with_tau(tau, seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ClusterParity,
+    testing::Combine(testing::ValuesIn(test::all_families()),
+                     testing::Values(2u, 8u),
+                     testing::Values(1u, 42u)),
+    [](const auto& param_info) {
+      return std::string(test::family_name(std::get<0>(param_info.param))) +
+             "_t" + std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
+    });
+
+TEST(ClusterParity, StepCappedMatchesSerialReference) {
+  // A capped growth stops mid-wave, so the contraction fallback fires on
+  // R-MAT: pin that path too.
+  for (const Family f : {Family::kRmatGiant, Family::kMeshUniform}) {
+    SCOPED_TRACE(test::family_name(f));
+    const Graph g = test::make_family(f, 1024, 5);
+    ClusterOptions o = opts_with_tau(2, 1);
+    o.max_steps_per_growth = 2;
+    const std::uint64_t fallbacks = expect_policies_match_reference(g, o);
+    if (f == Family::kRmatGiant) EXPECT_GT(fallbacks, 0u);
+  }
+}
 
 TEST(Cluster, DeterministicForFixedSeed) {
   const Graph g = test::make_family(Family::kMeshUniform, 400, 7);

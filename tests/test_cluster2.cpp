@@ -5,13 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 
 #include "core/cluster2.hpp"
 #include "gen/basic.hpp"
 #include "gen/weights.hpp"
 #include "graph/builder.hpp"
-#include "sssp/dijkstra.hpp"
 #include "test_helpers.hpp"
 
 namespace gdiam::core {
@@ -56,16 +54,7 @@ TEST_P(Cluster2Invariants, CoverageRadiusAndDistanceBounds) {
   const Weight quantum = c.delta_end;  // 2·R_CL (or fallback) by construction
   EXPECT_LE(c.radius, iterations * quantum * (1.0 + 1e-6));
 
-  // dist_to_center still upper-bounds true distances (float tolerance).
-  std::set<NodeId> centers(c.centers.begin(), c.centers.end());
-  for (const NodeId ctr : centers) {
-    const auto d = sssp::dijkstra_distances(g, ctr);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (c.center_of[u] != ctr) continue;
-      EXPECT_GE(c.dist_to_center[u] + 1e-4 * (1.0 + d[u]), d[u])
-          << "node " << u;
-    }
-  }
+  test::expect_distance_upper_bounds(g, c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -119,6 +108,19 @@ TEST(Cluster2, StepCapStillCovers) {
   o.max_steps_per_growth = 2;
   const Cluster2Result r = cluster2(g, o);
   EXPECT_TRUE(r.clustering.validate(g));
+}
+
+TEST(Cluster2, StepCappedRmatDistancesBoundDijkstra) {
+  const Graph g = test::make_family(Family::kRmatGiant, 1024, 5);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Cluster2Options o = opts_with_tau(4, seed);
+    o.base.max_steps_per_growth = 2;
+    o.max_steps_per_growth = 2;
+    const Cluster2Result r = cluster2(g, o);
+    ASSERT_TRUE(r.clustering.validate(g));
+    test::expect_distance_upper_bounds(g, r.clustering);
+  }
 }
 
 TEST(Cluster2, DisconnectedGraphCovered) {

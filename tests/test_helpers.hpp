@@ -1,7 +1,7 @@
 #pragma once
 // Shared fixtures for the gdiam test suite: small-graph factories with known
 // answers, a brute-force APSP reference, and serial references for the
-// Δ-growing step and Δ-stepping that the kernel parity suites compare
+// Δ-growing step, CLUSTER and Δ-stepping that the parity suites compare
 // against.
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.hpp"
 #include "core/growing.hpp"
 #include "core/labels.hpp"
 #include "gen/basic.hpp"
@@ -28,6 +30,7 @@
 #include "mr/partition.hpp"
 #include "mr/stats.hpp"
 #include "sssp/delta_stepping.hpp"
+#include "sssp/dijkstra.hpp"
 #include "util/rng.hpp"
 
 namespace gdiam::test {
@@ -269,6 +272,232 @@ inline core::GrowingStepResult step_against_reference(
     if (want.updates == 0) break;
   }
   return total;
+}
+
+/// What reference_cluster computes: the clustering, and how many nodes took
+/// label_chain_bound's fallback instead of a finalized same-cluster
+/// neighbor during contraction (so a test can show that path is exercised).
+struct ClusterReference {
+  core::Clustering clustering;
+  std::uint64_t fallbacks = 0;
+};
+
+/// CLUSTER's contraction as one serial global sweep: every uncovered node
+/// with a stage label, by increasing (float label, id). A node's distance is
+/// the best dist(u) + w over neighbors u already covered into the same
+/// cluster (in an earlier stage or earlier in this sweep); with none, it is
+/// label_chain_bound over the cluster's boundary offset. Afterwards each
+/// offset rises to its cluster's farthest new member.
+inline std::uint64_t reference_contract(const Graph& g, GrowingReference& st,
+                                        std::vector<Weight>& offset,
+                                        std::uint64_t steps,
+                                        core::Clustering& out,
+                                        NodeId& uncovered) {
+  const NodeId n = g.num_nodes();
+  std::vector<NodeId> wave;
+  for (NodeId u = 0; u < n; ++u) {
+    if (!st.blocked[u] && core::label_assigned(st.labels[u])) wave.push_back(u);
+  }
+  std::sort(wave.begin(), wave.end(), [&](NodeId a, NodeId b) {
+    const float da = core::label_dist(st.labels[a]);
+    const float db = core::label_dist(st.labels[b]);
+    if (da != db) return da < db;
+    return a < b;
+  });
+  std::uint64_t fallbacks = 0;
+  for (const NodeId v : wave) {
+    const NodeId c = core::label_center(st.labels[v]);
+    const float bv = core::label_dist(st.labels[v]);
+    Weight best = kInfiniteWeight;
+    if (bv == 0.0f) {
+      best = 0.0;
+    } else {
+      const auto nbr = g.neighbors(v);
+      const auto wts = g.weights(v);
+      for (std::size_t i = 0; i < nbr.size(); ++i) {
+        const NodeId u = nbr[i];
+        if (st.blocked[u] && out.center_of[u] == c &&
+            out.dist_to_center[u] != kInfiniteWeight) {
+          best = std::min(best, out.dist_to_center[u] + wts[i]);
+        }
+      }
+      if (best == kInfiniteWeight) {
+        best = core::label_chain_bound(offset[c], bv, steps);
+        ++fallbacks;
+      }
+    }
+    st.block(v);
+    out.center_of[v] = c;
+    out.dist_to_center[v] = best;
+  }
+  for (const NodeId v : wave) {
+    offset[out.center_of[v]] =
+        std::max(offset[out.center_of[v]], out.dist_to_center[v]);
+  }
+  uncovered -= static_cast<NodeId>(wave.size());
+  return fallbacks;
+}
+
+/// CLUSTER(G, τ), serially (core/cluster.cpp): the same center draws, the
+/// Δ-doubling growth on reference_growing_step with the same coverage stop
+/// and step cap, reference_contract, then singletons, centers and radius.
+/// Cross counters are classified by `part`, as in reference_growing_step;
+/// the sparse/dense and wire counters describe an execution and stay zero.
+inline ClusterReference reference_cluster(const Graph& g,
+                                          const core::ClusterOptions& opts,
+                                          const mr::Partition* part = nullptr) {
+  const NodeId n = g.num_nodes();
+  ClusterReference ref;
+  core::Clustering& out = ref.clustering;
+  out.center_of.assign(n, kInvalidNode);
+  out.dist_to_center.assign(n, kInfiniteWeight);
+  if (n == 0) return ref;
+
+  GrowingReference st(n);
+  std::vector<Weight> offset(n, 0.0);
+  NodeId uncovered = n;
+  const double logn = std::max(1.0, std::log2(static_cast<double>(n)));
+  const double stop_threshold =
+      opts.stop_factor * static_cast<double>(opts.tau) * logn;
+  const Weight max_useful_delta =
+      std::max(1.0, static_cast<Weight>(n) * std::max(1.0, g.max_weight()));
+  Weight delta = 1.0;
+  switch (opts.delta_init) {
+    case core::DeltaInit::kMinWeight:
+      delta = g.min_weight() > 0.0 ? g.min_weight() : 1.0;
+      break;
+    case core::DeltaInit::kFixed: delta = opts.delta_fixed; break;
+    case core::DeltaInit::kAverageWeight:
+      delta = g.avg_weight() > 0.0 ? g.avg_weight() : 1.0;
+      break;
+  }
+  util::Xoshiro256 rng(opts.seed);
+
+  while (static_cast<double>(uncovered) >= stop_threshold && uncovered > 0) {
+    out.stages++;
+    out.stats.auxiliary_rounds++;
+    // Center selection.
+    const double p = std::min(1.0, opts.gamma * static_cast<double>(opts.tau) *
+                                       logn / static_cast<double>(uncovered));
+    std::fill(st.labels.begin(), st.labels.end(), core::kUnassignedLabel);
+    std::vector<NodeId> centers;
+    for (NodeId u = 0; u < n; ++u) {
+      if (!st.blocked[u] && rng.next_bernoulli(p)) centers.push_back(u);
+    }
+    if (centers.empty()) {
+      std::uint64_t skip = rng.next_bounded(uncovered);
+      for (NodeId u = 0; u < n; ++u) {
+        if (!st.blocked[u] && skip-- == 0) {
+          centers.push_back(u);
+          break;
+        }
+      }
+    }
+    for (NodeId u = 0; u < n; ++u) {
+      if (st.blocked[u]) st.set_source(u, out.center_of[u]);
+    }
+    for (const NodeId c : centers) st.set_source(c, c);
+
+    // Growth with doubling Δ.
+    const auto target = static_cast<std::uint64_t>((uncovered + 1) / 2);
+    std::uint64_t labeled = centers.size();
+    std::uint64_t stage_steps = 0;
+    while (true) {
+      core::GrowingStepParams params;
+      params.light_threshold = delta;
+      params.uniform_budget = delta;
+      st.rebuild_frontier();
+      std::uint64_t steps = 0, newly = 0;
+      bool fixpoint = false;
+      while (opts.max_steps_per_growth == 0 ||
+             steps < opts.max_steps_per_growth) {
+        const core::GrowingStepResult r =
+            reference_growing_step(g, st, params, part);
+        ++steps;
+        ++stage_steps;
+        out.stats.relaxation_rounds++;
+        out.stats.messages += r.messages;
+        out.stats.node_updates += r.updates;
+        out.stats.cross_messages += r.cross_messages;
+        out.stats.cross_bytes += r.cross_bytes;
+        newly += r.newly_labeled;
+        if (r.updates == 0) {
+          fixpoint = true;
+          break;
+        }
+        if (labeled + newly >= target) break;
+      }
+      const bool hit_cap = !fixpoint && opts.max_steps_per_growth != 0 &&
+                           steps >= opts.max_steps_per_growth;
+      labeled += newly;
+      out.stats.auxiliary_rounds++;
+      if (labeled >= target || hit_cap || delta >= max_useful_delta) break;
+      delta *= 2.0;
+    }
+
+    // Contraction.
+    out.stats.auxiliary_rounds++;
+    ref.fallbacks +=
+        reference_contract(g, st, offset, stage_steps, out, uncovered);
+  }
+
+  // Singletons, centers, radius.
+  out.stats.auxiliary_rounds++;
+  for (NodeId u = 0; u < n; ++u) {
+    if (out.center_of[u] == kInvalidNode) {
+      out.center_of[u] = u;
+      out.dist_to_center[u] = 0.0;
+    }
+  }
+  std::vector<std::uint8_t> is_center(n, 0);
+  for (NodeId u = 0; u < n; ++u) is_center[out.center_of[u]] = 1;
+  for (NodeId u = 0; u < n; ++u) {
+    if (is_center[u]) out.centers.push_back(u);
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    out.radius = std::max(out.radius, out.dist_to_center[u]);
+  }
+  out.delta_end = delta;
+  return ref;
+}
+
+/// A clustering against reference_cluster's: the assignment, the derived
+/// centers/radius, Δ_end, the stage count and every model counter, bit for
+/// bit. Each relaxation round must be classified sparse or dense.
+inline void expect_cluster_matches(const core::Clustering& got,
+                                   const core::Clustering& want) {
+  EXPECT_EQ(got.center_of, want.center_of);
+  EXPECT_EQ(got.dist_to_center, want.dist_to_center);
+  EXPECT_EQ(got.centers, want.centers);
+  EXPECT_EQ(got.radius, want.radius);
+  EXPECT_EQ(got.delta_end, want.delta_end);
+  EXPECT_EQ(got.stages, want.stages);
+  EXPECT_EQ(got.stats.relaxation_rounds, want.stats.relaxation_rounds);
+  EXPECT_EQ(got.stats.auxiliary_rounds, want.stats.auxiliary_rounds);
+  EXPECT_EQ(got.stats.messages, want.stats.messages);
+  EXPECT_EQ(got.stats.node_updates, want.stats.node_updates);
+  EXPECT_EQ(got.stats.cross_messages, want.stats.cross_messages);
+  EXPECT_EQ(got.stats.cross_bytes, want.stats.cross_bytes);
+  EXPECT_EQ(got.stats.sparse_rounds + got.stats.dense_rounds,
+            got.stats.relaxation_rounds);
+}
+
+/// dist_to_center upper-bounds the true distance to the assigned center —
+/// the property that makes the quotient estimate conservative. Exact, with
+/// no float slack: Dijkstra's double path sums are the yardstick.
+inline void expect_distance_upper_bounds(const Graph& g,
+                                         const core::Clustering& c) {
+  const std::set<NodeId> centers(c.centers.begin(), c.centers.end());
+  for (const NodeId ctr : centers) {
+    const auto d = sssp::dijkstra_distances(g, ctr);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (c.center_of[u] != ctr) continue;
+      ASSERT_NE(d[u], kInfiniteWeight)
+          << "cluster spans disconnected parts: " << u;
+      EXPECT_GE(c.dist_to_center[u], d[u])
+          << "node " << u << " center " << ctr;
+    }
+  }
 }
 
 /// What reference_delta_stepping computes: the distances, the outer step
