@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 
 #include "exec/context.hpp"
 #include "mr/placement.hpp"
@@ -71,7 +73,11 @@ void GrowingEngine::reset() {
   steps_since_clear_ = 0;
   frontier_labels_.clear();
   scratch_.assign(double_buffered ? n : 0, kUnassignedLabel);
-  ++resident_epoch_;  // blocked_ was cleared: pool workers must re-snapshot
+  // Resident pool workers clear their blocked copy on the next step.
+  pool_blocked_bits_.assign(
+      policy_ == GrowingPolicy::kPartitioned ? (n + 63) / 64 : 0, 0);
+  pool_blocked_dirty_ = false;
+  pool_blocked_cleared_ = true;
   reset_frontier_state();
 }
 
@@ -117,9 +123,17 @@ void GrowingEngine::set_source(NodeId u, NodeId center, Weight dist) {
 }
 
 void GrowingEngine::block(std::span<const NodeId> wave) noexcept {
+  const bool resident = resident_pool();
 #pragma omp parallel for schedule(static, 4096)
-  for (std::size_t i = 0; i < wave.size(); ++i) blocked_[wave[i]] = 1;
-  ++resident_epoch_;
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const NodeId v = wave[i];
+    blocked_[v] = 1;
+    if (resident) {
+      std::atomic_ref<std::uint64_t>(pool_blocked_bits_[v >> 6])
+          .fetch_or(std::uint64_t{1} << (v & 63), std::memory_order_relaxed);
+    }
+  }
+  if (resident && !wave.empty()) pool_blocked_dirty_ = true;
 }
 
 // Re-derives the active set from the labels into the Frontier (and the
@@ -186,9 +200,17 @@ void GrowingEngine::ensure_split(Weight threshold) {
     return;
   }
   if (policy_ == GrowingPolicy::kPartitioned) {
-    const std::vector<CsrSplit>* before = shard_splits_;
     if (ctx_ != nullptr) {
+      // Pool workers look the split up by threshold in their snapshot of
+      // the context cache, taken after the last epoch bump. While the
+      // cache has built (and so evicted) nothing since, every entry is in
+      // that snapshot; a build — this engine's first use of a Δ, or any
+      // other caller's — makes them re-snapshot.
       shard_splits_ = &ctx_->shard_splits_for(g_, popts_, threshold);
+      if (ctx_->shard_split_builds() != pool_split_builds_) {
+        ++resident_epoch_;
+        pool_split_builds_ = ctx_->shard_split_builds();
+      }
     } else {
       // First-touch each shard's split on its placement node, mirroring the
       // context-backed path (exec::Context::shard_splits_for). No-op binds
@@ -204,13 +226,7 @@ void GrowingEngine::ensure_split(Weight threshold) {
             presplit_csr(sh.offsets, sh.targets, sh.weights, threshold));
       }
       shard_splits_ = &shard_splits_own_;
-    }
-    // Pool workers read the split layout from their fork-time snapshot; a
-    // re-resolution that lands on a different entry (or the same entry
-    // rebuilt for a new threshold) invalidates that snapshot. The (pointer,
-    // threshold) pair is a sound staleness key because an entry's content
-    // is a pure function of (graph, partition, threshold).
-    if (shard_splits_ != before || split_threshold_ != threshold) {
+      // The workers' snapshot of the own split holds the old threshold's.
       ++resident_epoch_;
     }
   } else {
@@ -486,29 +502,90 @@ void GrowingEngine::pool_compute_shard(const mr::Shard& sh,
   messages_out = messages;
 }
 
+namespace {
+
+// Blocked-delta flags of the pool input frame (make_pool_codec).
+constexpr std::uint64_t kBlockedCleared = 1;
+constexpr std::uint64_t kBlockedDelta = 2;
+
+void append_bytes(std::vector<std::byte>& buf, const void* p, std::size_t n) {
+  const auto* b = static_cast<const std::byte*>(p);
+  buf.insert(buf.end(), b, b + n);
+}
+
+}  // namespace
+
 mr::StepInputCodec GrowingEngine::make_pool_codec() {
   mr::StepInputCodec codec;
-  // Input frame, per shard: [Weight light_threshold][PoolSender...]. Both
-  // closures capture `this` — the engine outlives the run (context-pooled),
-  // so the worker's frozen decode writes through a stable address into
-  // members whose outer storage predates the fork.
+  // Input frame, per shard:
+  //   [Weight light_threshold][u64 flags: kBlockedCleared | kBlockedDelta]
+  //   [u64 × ceil(n/64): nodes blocked since the last step, if kBlockedDelta]
+  //   [PoolSender...]
+  // The delta is a bitset — n/8 bytes, smaller than the id list for any
+  // wave above n/32 nodes, and contraction waves cover half the uncovered
+  // nodes. It is the same in every shard's frame: a worker applies it to
+  // its one blocked_ copy once per owned shard, which is idempotent — and
+  // so is a crash replay into a fresh snapshot that already holds it.
+  // Both closures capture `this`: the engine outlives the run (context-
+  // pooled), so the worker's frozen decode writes through a stable address
+  // into members whose outer storage predates the fork.
   codec.encode = [this](mr::ShardId s, std::vector<std::byte>& buf) {
-    const auto* t = reinterpret_cast<const std::byte*>(&pool_light_threshold_);
-    buf.insert(buf.end(), t, t + sizeof pool_light_threshold_);
+    const std::uint64_t flags = (pool_blocked_cleared_ ? kBlockedCleared : 0) |
+                                (pool_blocked_dirty_ ? kBlockedDelta : 0);
+    append_bytes(buf, &pool_light_threshold_, sizeof pool_light_threshold_);
+    append_bytes(buf, &flags, sizeof flags);
+    if (pool_blocked_dirty_) {
+      append_bytes(buf, pool_blocked_bits_.data(),
+                   pool_blocked_bits_.size() * sizeof(std::uint64_t));
+    }
     const auto& senders = pool_senders_[s];
-    const auto* p = reinterpret_cast<const std::byte*>(senders.data());
-    buf.insert(buf.end(), p, p + senders.size() * sizeof(PoolSender));
+    append_bytes(buf, senders.data(), senders.size() * sizeof(PoolSender));
   };
   codec.decode = [this](mr::ShardId s, const std::byte* p, std::size_t len) {
-    std::memcpy(&pool_light_threshold_, p, sizeof pool_light_threshold_);
-    p += sizeof pool_light_threshold_;
-    len -= sizeof pool_light_threshold_;
-    auto& senders = pool_senders_[s];
-    senders.resize(len / sizeof(PoolSender));
-    if (len != 0) std::memcpy(senders.data(), p, len);
+    decode_pool_input(s, p, len);
   };
   codec.epoch = resident_epoch_;
   return codec;
+}
+
+void GrowingEngine::decode_pool_input(mr::ShardId s, const std::byte* p,
+                                      std::size_t len) {
+  auto take = [&](void* dst, std::size_t n) {
+    if (len < n) throw std::runtime_error("truncated pool input frame");
+    std::memcpy(dst, p, n);
+    p += n;
+    len -= n;
+  };
+  std::uint64_t flags = 0;
+  take(&pool_light_threshold_, sizeof pool_light_threshold_);
+  take(&flags, sizeof flags);
+  if ((flags & kBlockedCleared) != 0) {
+    std::fill(blocked_.begin(), blocked_.end(), 0);
+  }
+  if ((flags & kBlockedDelta) != 0) {
+    const std::size_t n = blocked_.size();
+    for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
+      std::uint64_t bits = 0;
+      take(&bits, sizeof bits);
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t v = w * 64 + std::countr_zero(bits);
+        if (v >= n) throw std::runtime_error("blocked bit past the node range");
+        blocked_[v] = 1;
+      }
+    }
+  }
+  // A context-backed engine's split entry was built before this worker
+  // forked, or the coordinator bumped the epoch and respawned it (see
+  // ensure_split); a standalone engine's own split is the snapshot's.
+  if (ctx_ != nullptr) {
+    shard_splits_ = ctx_->find_shard_splits(*partition_, pool_light_threshold_);
+    if (shard_splits_ == nullptr) {
+      throw std::logic_error("pool worker snapshot lacks the shipped presplit");
+    }
+  }
+  auto& senders = pool_senders_[s];
+  senders.resize(len / sizeof(PoolSender));
+  if (len != 0) std::memcpy(senders.data(), p, len);
 }
 
 // One Δ-growing step as one BSP superstep. Semantically this is the pull
@@ -538,7 +615,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
   // Resident transport: the active set (dense frontier test or sparse
   // shard_active_ lists) is enumerated here, in this mode's exact order, and
   // shipped — the frozen workers replay edges without reading either.
-  const bool resident = bsp_->resident_compute();
+  const bool resident = resident_pool();
   mr::StepInputCodec pool_codec;
   if (resident) {
     build_pool_senders(params, dense);
@@ -654,6 +731,12 @@ GrowingStepResult GrowingEngine::step_partitioned(
       std::span<std::uint64_t>(shard_messages.data(), shard_messages.size()),
       resident ? &pool_codec : nullptr);
 
+  // The workers hold the blocked delta now (or a snapshot that has it).
+  if (pool_blocked_dirty_) {
+    std::fill(pool_blocked_bits_.begin(), pool_blocked_bits_.end(), 0);
+    pool_blocked_dirty_ = false;
+  }
+  pool_blocked_cleared_ = false;
   shard_active_.swap(shard_active_next_);
   afrontier_.advance();
   for (std::uint32_t s = 0; s < k; ++s) {

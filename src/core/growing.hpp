@@ -134,16 +134,18 @@ class GrowingEngine {
   void set_source(NodeId u, NodeId center, Weight dist = 0.0);
 
   /// Marks `u` as a contracted-cluster member: it keeps proposing from its
-  /// current label but never accepts updates. Mutates fork-time-resident
-  /// state, so it advances the resident epoch: pool workers re-snapshot at
-  /// the next step.
+  /// current label but never accepts updates. Under a resident pool the
+  /// node also joins the blocked delta the next step ships to the workers,
+  /// which apply it to their own copy of the blocked set.
   void block(NodeId u) noexcept {
     blocked_[u] = 1;
-    ++resident_epoch_;
+    if (resident_pool()) {
+      pool_blocked_bits_[u >> 6] |= std::uint64_t{1} << (u & 63);
+      pool_blocked_dirty_ = true;
+    }
   }
-  /// Blocks a whole contraction wave on all threads. The resident epoch
-  /// advances once for the wave: transports compare epochs by inequality,
-  /// so one bump and one per node both mean "re-snapshot at the next step".
+  /// Blocks a whole contraction wave on all threads (joining the shipped
+  /// blocked delta under a resident pool, like block(u)).
   void block(std::span<const NodeId> wave) noexcept;
   [[nodiscard]] bool is_blocked(NodeId u) const noexcept {
     return blocked_[u] != 0;
@@ -294,6 +296,11 @@ class GrowingEngine {
     Weight budget = 0.0;
   };
 
+  /// True when kPartitioned supersteps run on resident pool workers.
+  [[nodiscard]] bool resident_pool() const noexcept {
+    return bsp_ != nullptr && bsp_->resident_compute();
+  }
+
   GrowingStepResult step_push(const GrowingStepParams& params);
   GrowingStepResult step_pull(const GrowingStepParams& params);
   GrowingStepResult step_partitioned(const GrowingStepParams& params);
@@ -309,6 +316,10 @@ class GrowingEngine {
                           std::uint64_t& messages_out) const;
   /// Input codec handed to BspEngine::superstep under a resident transport.
   [[nodiscard]] mr::StepInputCodec make_pool_codec();
+  /// Worker side of the codec: installs one shard's shipped input frame.
+  /// Runs in a forked worker, so it enters no OpenMP region and writes only
+  /// into storage allocated before the fork.
+  void decode_pool_input(mr::ShardId s, const std::byte* p, std::size_t len);
 
   void snapshot_push_labels();
   void reset_frontier_state();
@@ -354,14 +365,23 @@ class GrowingEngine {
   std::vector<std::vector<NodeId>> shard_active_;       // changed, per shard
   std::vector<std::vector<NodeId>> shard_active_next_;
   std::vector<std::vector<NodeId>> shard_touched_;
-  // Resident-worker (PoolTransport) state. pool_senders_/pool_light_
-  // threshold_ are the per-step inputs the codec ships (stable member
-  // addresses: a worker's frozen decode closure writes them through this).
-  // resident_epoch_ versions everything else a pool worker's compute reads
-  // from its fork-time snapshot (blocked_, the presplit layout): bumping it
-  // makes the transport respawn workers at the next superstep.
+  // Resident-worker (PoolTransport) state. Each step ships, per shard,
+  // pool_light_threshold_, the blocked delta (pool_blocked_cleared_: reset()
+  // ran since the last step; pool_blocked_bits_: the nodes blocked since
+  // then, one bit per node, shipped when pool_blocked_dirty_) and
+  // pool_senders_; a worker's frozen decode closure writes them through
+  // stable member addresses. The threshold selects the worker's presplit in
+  // its snapshot of the context cache. resident_epoch_ versions what the
+  // snapshot may lack: a presplit built after the workers forked
+  // (pool_split_builds_ is the context's build count at the last bump), or
+  // a standalone engine's rebuilt own split. Bumping it makes the transport
+  // respawn the workers at the next superstep.
   std::vector<std::vector<PoolSender>> pool_senders_;
   Weight pool_light_threshold_ = kInfiniteWeight;
+  std::vector<std::uint64_t> pool_blocked_bits_;  // kPartitioned: n bits
+  bool pool_blocked_dirty_ = false;
+  bool pool_blocked_cleared_ = false;
+  std::uint64_t pool_split_builds_ = 0;
   std::uint64_t resident_epoch_ = 1;
   // Δ-presplit adjacency, cached per light_threshold (rebuilt when a stage
   // changes the threshold, not per step). Context-backed engines instead

@@ -122,7 +122,16 @@ const std::vector<CsrSplit>& Context::shard_splits_for(
   if (shard_splits_.size() >= kMaxSplits) shard_splits_.pop_back();
   shard_splits_.insert(shard_splits_.begin(),
                        ShardSplitEntry{&part, delta, pfp, std::move(splits)});
+  ++shard_split_builds_;
   return *shard_splits_.front().splits;
+}
+
+const std::vector<CsrSplit>* Context::find_shard_splits(
+    const mr::Partition& part, Weight delta) const noexcept {
+  for (const ShardSplitEntry& e : shard_splits_) {
+    if (e.partition == &part && e.delta == delta) return e.splits.get();
+  }
+  return nullptr;
 }
 
 std::size_t Context::adopt_presplits(const Graph& g, const io::MappedGraph& m) {

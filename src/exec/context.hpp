@@ -132,6 +132,21 @@ class Context {
                                                 const mr::PartitionOptions& opts,
                                                 Weight delta);
 
+  /// Number of per-shard presplit entries built on this context so far. A
+  /// caller that remembers it knows, while it has not moved, that no entry
+  /// was added or evicted since.
+  [[nodiscard]] std::uint64_t shard_split_builds() const noexcept {
+    return shard_split_builds_;
+  }
+
+  /// The cached per-shard presplit of `part` for `delta`, or nullptr. A pure
+  /// lookup: no build, no LRU reordering, no allocation — safe in a forked
+  /// pool worker resolving a split in its snapshot of this cache. `part`
+  /// pins the placement fingerprint too: partitions are cached per
+  /// fingerprint, so one partition has at most one entry per Δ.
+  [[nodiscard]] const std::vector<CsrSplit>* find_shard_splits(
+      const mr::Partition& part, Weight delta) const noexcept;
+
   /// Adopts the persisted presplit sidecars of a mapped .gcsr file into the
   /// split cache for `g` — the load-from-file warm path (DESIGN.md §14).
   /// `g` must be a view into `m`'s mapping (m.covers(g)); anything else
@@ -231,6 +246,7 @@ class Context {
   std::vector<SplitEntry> splits_;            // MRU-first
   std::vector<PartitionEntry> partitions_;    // MRU-first
   std::vector<ShardSplitEntry> shard_splits_;  // MRU-first
+  std::uint64_t shard_split_builds_ = 0;
   std::vector<EngineEntry> engines_;
   sssp::RoundBuffers buffers_;
   StatsSink stats_;

@@ -50,8 +50,9 @@ namespace gdiam::mr {
 ///            storage whose address was stable at fork time (members, round
 ///            buffers) so the frozen compute closure reads the fresh values;
 ///   epoch  — version of the *non-shipped* resident state compute reads
-///            (presplit layout, blocked sets). Bump it on mutation and the
-///            pool re-snapshots the workers.
+///            (e.g. the presplits a snapshot holds). Bump it when a worker
+///            snapshot could lack something and the pool re-snapshots the
+///            workers.
 ///
 /// Algorithms that don't supply a codec still run correctly under a pool —
 /// the transport falls back to respawning workers every superstep.

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <numeric>
@@ -61,7 +62,24 @@ struct Reader {
 /// (pool), so the deadline only ever bites on a genuinely wedged child.
 constexpr int kReapTimeoutMs = 5000;
 
+// Process-wide pool lifecycle totals (pool_totals()).
+std::atomic<std::uint64_t> g_pool_spawns{0};
+std::atomic<std::uint64_t> g_pool_restarts{0};
+
+/// First thing a forked worker does. libgomp's thread pool does not survive
+/// fork: in a child of a process that already ran a parallel region, the
+/// next multi-threaded region waits forever for threads that do not exist.
+/// One thread per worker keeps any region the child enters a serial loop;
+/// worker-side code should not enter one at all (the P workers are the
+/// parallelism).
+void enter_forked_worker() noexcept { omp_set_num_threads(1); }
+
 }  // namespace
+
+PoolTotals pool_totals() noexcept {
+  return {g_pool_spawns.load(std::memory_order_relaxed),
+          g_pool_restarts.load(std::memory_order_relaxed)};
+}
 
 Launcher::Launcher(std::uint32_t num_shards, std::uint32_t processes,
                    PlacementPlan plan)
@@ -199,6 +217,7 @@ TransportStats ProcessTransport::run_compute(const SuperstepPlan& plan) {
       break;
     }
     if (pid == 0) {
+      enter_forked_worker();
       // Worker. fd hygiene: drop the read end and every earlier worker's
       // inherited read end (harmless for EOF semantics, but tidy).
       ::close(fds[0]);
@@ -338,6 +357,7 @@ void PoolTransport::spawn_worker(std::uint32_t p, const SuperstepPlan& plan) {
     throw_errno("fork");
   }
   if (pid == 0) {
+    enter_forked_worker();
     ::close(fds[0]);
     // fd hygiene: drop the coordinator ends of the sibling workers' sockets
     // so closing one coordinator-side fd reliably EOFs exactly one worker.
@@ -354,6 +374,7 @@ void PoolTransport::spawn_worker(std::uint32_t p, const SuperstepPlan& plan) {
   ::close(fds[1]);
   workers_[p] = Worker{pid, fds[0], launcher_.node_of_group(p)};
   ++spawns_;
+  g_pool_spawns.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PoolTransport::worker_main(std::uint32_t p, int fd,
@@ -524,6 +545,7 @@ TransportStats PoolTransport::run_compute(const SuperstepPlan& plan) {
         stop_worker(workers_[p]);
         spawn_worker(p, plan);
         ++restarts_;
+        g_pool_restarts.fetch_add(1, std::memory_order_relaxed);
       }
       todo = std::move(failed);
     }

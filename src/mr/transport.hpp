@@ -34,21 +34,28 @@
 //     workers are the genuinely-crossed `wire_bytes` that feed RoundStats.
 //
 //   * PoolTransport — resident workers: forks each group's worker ONCE (at
-//     the first superstep, so the fork snapshot carries the run's resident
-//     layout: partition slice, presplit CSR, the algorithm's scratch) and
-//     keeps it alive across supersteps on a persistent socketpair. The
-//     coordinator's state keeps evolving after the fork, so the worker's
-//     snapshot goes stale in two ways, with two matching mechanisms:
+//     the first superstep, so the fork snapshot carries the resident
+//     layout: partition slice, cached presplits, the algorithm's scratch)
+//     and keeps it alive across supersteps — and across runs, for an
+//     engine pooled in a warm exec::Context — on a persistent socketpair.
+//     The coordinator's state keeps evolving after the fork, so the
+//     worker's snapshot goes stale, with two matching mechanisms:
 //
-//       - per-superstep inputs (the frontier, the active-sender set) change
-//         every step → the plan's encode_input/decode_input codec ships
-//         them over the socket; decode_input is a closure frozen at fork
-//         time that writes the fresh bytes into *stable-address* storage
-//         (members, round buffers), then the frozen compute reads them;
-//       - fork-time-resident state (a re-resolved presplit, a blocked-set
-//         mutation) changes occasionally → the algorithm bumps the plan's
-//         resident_epoch and the pool quits + respawns the workers,
-//         re-snapshotting the coordinator.
+//       - state that changes between supersteps (the active senders, the
+//         light threshold, the nodes blocked since the last step) → the
+//         plan's encode_input/decode_input codec ships it over the socket;
+//         decode_input is a closure frozen at fork time that writes the
+//         fresh bytes into *stable-address* storage (members, round
+//         buffers) or uses them as lookup keys into the snapshot (the
+//         presplit for the shipped threshold), then the frozen compute
+//         reads them;
+//       - state the snapshot may lack (a presplit built after the fork) →
+//         the algorithm bumps the plan's resident_epoch and the pool quits
+//         + respawns the workers, re-snapshotting the coordinator.
+//
+//     Forked workers run with one OpenMP thread and worker-side code never
+//     enters an OpenMP region: libgomp's pool does not survive fork, and a
+//     multi-threaded region in the child would wait forever.
 //
 //     A plan without an input codec degrades safely: the pool respawns the
 //     workers every superstep, which is exactly ProcessTransport semantics.
@@ -114,6 +121,16 @@ struct TransportStats {
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
 };
+
+/// Process-wide PoolTransport lifecycle totals: every worker fork and every
+/// crash restart by any pool of this process, destroyed pools included.
+/// Per-pool counts are PoolTransport::spawns()/restarts(); these feed the
+/// serving daemon's `stats` verb, where pools live inside pooled engines.
+struct PoolTotals {
+  std::uint64_t spawns = 0;
+  std::uint64_t restarts = 0;
+};
+[[nodiscard]] PoolTotals pool_totals() noexcept;
 
 /// Maps K shards onto P worker processes: ceil-balanced groups (the first
 /// K mod P groups take one extra shard), contiguous *in placement order*.
@@ -211,9 +228,9 @@ class Transport {
     /// resident workers never seal/clear their exchange copy.
     std::function<void(ShardId)> reset_row;
     /// Version of the fork-time-resident state the compute closure reads
-    /// beyond the shipped inputs (presplit layout, blocked sets, …). When it
-    /// differs from the epoch a pool worker was forked at, the pool respawns
-    /// the worker before running the step.
+    /// beyond the shipped inputs (e.g. which presplits the snapshot holds).
+    /// When it differs from the epoch a pool worker was forked at, the pool
+    /// respawns the worker before running the step.
     std::uint64_t resident_epoch = 0;
   };
 
@@ -226,8 +243,8 @@ class Transport {
 
   /// True when workers stay resident across supersteps (PoolTransport):
   /// algorithms should supply the plan's input codec so per-superstep state
-  /// is shipped instead of re-snapshotted, and bump resident_epoch whenever
-  /// fork-time-resident state mutates.
+  /// is shipped instead of re-snapshotted, and bump resident_epoch only when
+  /// a worker snapshot could lack what compute reads.
   [[nodiscard]] virtual bool resident_workers() const noexcept {
     return false;
   }

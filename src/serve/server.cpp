@@ -480,6 +480,13 @@ Message Server::handle_stats() {
   resp.set("degraded", std::to_string(stats_.degraded.load()));
   resp.set("disconnected_slow",
            std::to_string(stats_.disconnected_slow.load()));
+  // Worker forks and crash restarts of every pool in the daemon. Pooled
+  // estimates on a warm graph fork none (a pooled sssp still forks its own
+  // workers per request), so spawns rising across estimates betray
+  // re-snapshots.
+  const mr::PoolTotals pools = mr::pool_totals();
+  resp.set("pool_spawns", std::to_string(pools.spawns));
+  resp.set("pool_restarts", std::to_string(pools.restarts));
   std::string body;
   for (const GraphStore::Snapshot& s : store_.snapshot()) {
     body += s.spec + "  n=" + std::to_string(s.nodes) +

@@ -26,7 +26,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "core/growing.hpp"
+#include "exec/context.hpp"
 #include "mr/partition.hpp"
 #include "mr/transport.hpp"
 #include "serve/protocol.hpp"
@@ -356,6 +358,63 @@ TEST(TransportChaos, WorkerSelfKillMidSuperstepReplaysBitIdentical) {
   EXPECT_GE(run.restarts, 1u);
   EXPECT_EQ(run.labels, ref.labels);
   EXPECT_EQ(run.updates, ref.updates);
+}
+
+TEST(TransportChaos, WorkerKillOnBlockedWaveStepReplaysClusterBitIdentical) {
+  // A warm pooled CLUSTER run whose one resident worker dies on the step
+  // that ships a contraction wave. The replacement forks from the
+  // coordinator, whose blocked set already holds the wave, and the replayed
+  // frame applies the same wave again: idempotent, so the run must equal an
+  // uncrashed one in output and in every RoundStats field (a replayed
+  // group's wire tallies are overwritten, not added).
+  const Graph g = test::make_family(Family::kMeshUniform, 300, 5);
+  core::ClusterOptions o;
+  o.tau = 2;
+  o.stop_factor = 1.0;
+  o.policy = core::GrowingPolicy::kPartitioned;
+  o.partition.num_partitions = 4;
+  o.transport = {.kind = mr::TransportKind::kPool, .processes = 1};
+  const auto part = test::shards_for(g, o.partition);
+  const test::ClusterReference ref = test::reference_cluster(g, o, part.get());
+
+  // Hit counts are per process and the coordinator never crosses the
+  // worker-side site, so the replacement counts from zero again and would
+  // die on its own Nth step, global step 2N - 1. Aim at the first step of
+  // the earliest stage after the first for which that lies past the run.
+  const std::uint64_t steps = ref.clustering.stats.relaxation_rounds;
+  std::uint64_t kill_at = 0;
+  std::uint64_t first = 1;
+  for (std::size_t j = 0; j < ref.stage_rounds.size(); ++j) {
+    if (j > 0 && 2 * first - 1 > steps) {
+      kill_at = first;
+      break;
+    }
+    first += ref.stage_rounds[j];
+  }
+  ASSERT_GT(kill_at, 0u) << "no stage starts in the second half of the run";
+
+  exec::Context ctx;
+  const core::Clustering clean = core::cluster(g, o, &ctx);  // caches every Δ
+  auto* pool = dynamic_cast<mr::PoolTransport*>(
+      ctx.growing_engine(g, o.policy, o.partition).transport());
+  ASSERT_NE(pool, nullptr);
+  // The schedule is copied into a worker when it forks: arm first, then
+  // retire the warm worker so the next run's worker counts from its step 1.
+  const ScopedFaults f("pool.worker.step=kill@" + std::to_string(kill_at));
+  pool->shutdown();
+  const std::uint64_t spawns = pool->spawns();
+  const std::uint64_t restarts = pool->restarts();
+  const core::Clustering crashed = core::cluster(g, o, &ctx);
+
+  EXPECT_EQ(pool->restarts() - restarts, 1u);
+  EXPECT_EQ(pool->spawns() - spawns, 2u);  // the fresh worker + its stand-in
+  EXPECT_EQ(crashed.center_of, clean.center_of);
+  EXPECT_EQ(crashed.dist_to_center, clean.dist_to_center);
+  EXPECT_EQ(crashed.centers, clean.centers);
+  EXPECT_EQ(crashed.radius, clean.radius);
+  EXPECT_EQ(crashed.stages, clean.stages);
+  EXPECT_EQ(crashed.stats, clean.stats);
+  test::expect_cluster_matches(crashed, ref.clustering);
 }
 
 TEST(TransportChaos, RespawnedWorkerKeepsNodeBinding) {

@@ -280,6 +280,9 @@ inline core::GrowingStepResult step_against_reference(
 struct ClusterReference {
   core::Clustering clustering;
   std::uint64_t fallbacks = 0;
+  /// Relaxation rounds of each stage, in stage order (a crash test aims a
+  /// fault at the first step of a stage, the one after a contraction).
+  std::vector<std::uint64_t> stage_rounds;
 };
 
 /// CLUSTER's contraction as one serial global sweep: every uncovered node
@@ -437,6 +440,7 @@ inline ClusterReference reference_cluster(const Graph& g,
 
     // Contraction.
     out.stats.auxiliary_rounds++;
+    ref.stage_rounds.push_back(stage_steps);
     ref.fallbacks +=
         reference_contract(g, st, offset, stage_steps, out, uncovered);
   }

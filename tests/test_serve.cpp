@@ -224,14 +224,22 @@ TEST(Server, WarmRepeatsAreIdenticalAndPoolTransportServes) {
   est.set("partitions", "4");
   est.set("transport", "pool");
   est.set("processes", "2");
+  Message stats;
+  stats.head = "stats";
   const Message cold = roundtrip(sopts.socket_path, est);
+  const Message after_cold = roundtrip(sopts.socket_path, stats);
   const Message warm1 = roundtrip(sopts.socket_path, est);
   const Message warm2 = roundtrip(sopts.socket_path, est);
+  const Message after_warm = roundtrip(sopts.socket_path, stats);
   server.stop();
   // Same graph, same options, warm context + resident pool workers: the
   // response must not drift run over run (cost line included).
   EXPECT_EQ(warm1.body, cold.body);
   EXPECT_EQ(warm2.body, cold.body);
+  // The cold estimate forked the pool's workers; the warm ones reuse them.
+  EXPECT_NE(after_cold.get("pool_spawns"), "0");
+  EXPECT_EQ(after_warm.get("pool_spawns"), after_cold.get("pool_spawns"));
+  EXPECT_EQ(after_warm.get("pool_restarts"), after_cold.get("pool_restarts"));
   EXPECT_NE(cold.body.find("wire="), std::string::npos)
       << "pool transport must report wire traffic";
 }

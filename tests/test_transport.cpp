@@ -7,13 +7,18 @@
 // and the resident-worker PoolTransport for every graph family, K ∈ {2, 4}
 // and P ∈ {1, 2}, with the wire counters nonzero exactly under the remote
 // transports. The pool additionally pins its lifecycle contract: one spawn
-// wave per resident epoch, per-superstep inputs crossing the socket, and a
-// SIGKILLed worker restarted mid-run with bit-identical results.
+// wave per resident epoch, per-superstep inputs crossing the socket, a
+// SIGKILLed worker restarted mid-run with bit-identical results, workers
+// that stay resident across whole warm CLUSTER/CLUSTER2 runs (PoolResidency)
+// and a worker compute that may enter an OpenMP region without hanging.
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <sys/types.h>
+#include <unistd.h>
+
+#include <omp.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -24,8 +29,10 @@
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "core/cluster2.hpp"
 #include "core/diameter.hpp"
 #include "core/growing.hpp"
+#include "exec/context.hpp"
 #include "mr/bsp_engine.hpp"
 #include "mr/exchange.hpp"
 #include "mr/partition.hpp"
@@ -339,6 +346,57 @@ TEST(PoolSuperstep, NoCodecFallsBackToRespawnPerSuperstep) {
   EXPECT_EQ(pool.spawns(), 2u * k);  // one wave per superstep
 }
 
+// A forked worker inherits libgomp's thread pool state but none of its
+// threads: in a child of a process that has run a parallel region, the next
+// multi-threaded region never returns. Workers run with one OpenMP thread,
+// so a compute that enters a region finishes — and matches LocalTransport.
+TEST(PoolSuperstep, WorkerComputeMayEnterOpenMpRegion) {
+  long warm = 0;
+#pragma omp parallel num_threads(2) reduction(+ : warm)
+  warm += 1;  // the coordinator's thread pool now exists
+  ASSERT_GE(warm, 1);
+
+  const Graph g = gen::path(40);
+  const Partition part(
+      g, {.num_partitions = 4, .strategy = PartitionStrategy::kRange});
+  const std::uint32_t k = part.num_partitions();
+  const pid_t coordinator = ::getpid();
+
+  auto run = [&](Transport& transport) {
+    BspEngine engine(part, &transport);
+    Exchange<std::uint64_t> ex(k);
+    std::vector<std::vector<std::uint64_t>> inboxes(k);
+    std::vector<std::uint64_t> counters(k, 0);
+    auto compute = [&](const Shard& sh, Exchange<std::uint64_t>& out) {
+      // A hang here must fail the test, not stall the suite: a worker that
+      // has not finished in 5 s dies, and the pool gives up after its
+      // bounded restarts with a TransportError.
+      if (::getpid() != coordinator) ::alarm(5);
+      std::uint64_t sum = 0;
+#pragma omp parallel for reduction(+ : sum)
+      for (int i = 0; i < 1000; ++i) sum += static_cast<std::uint64_t>(i);
+      if (::getpid() != coordinator) ::alarm(0);
+      out.send(sh.id, (sh.id + 1) % k, sum + sh.id);
+      counters[sh.id] = sum;
+    };
+    auto apply = [&](const Shard& sh, std::span<const std::uint64_t> inbox) {
+      inboxes[sh.id].assign(inbox.begin(), inbox.end());
+    };
+    for (int step = 0; step < 2; ++step) {
+      engine.superstep(ex, compute, apply, nullptr,
+                       std::span<std::uint64_t>(counters.data(), k));
+    }
+    return std::make_pair(inboxes, counters);
+  };
+
+  LocalTransport local;
+  PoolTransport pool((Launcher(k, 2)));
+  const auto want = run(local);
+  EXPECT_EQ(run(pool), want);
+  EXPECT_EQ(want.second[0], 499500u);
+  EXPECT_EQ(pool.restarts(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-stack parity: LocalTransport vs ProcessTransport
 
@@ -537,6 +595,114 @@ TEST(TransportParity, DiameterPipelineBitIdentical) {
     EXPECT_EQ(zero_wire(pool.stats), zero_wire(local.stats));
     EXPECT_GT(pool.stats.wire_bytes, 0u) << test::family_name(family);
   }
+}
+
+// ---------------------------------------------------------------------------
+// PoolTransport residency across whole CLUSTER/CLUSTER2 runs. A warm context
+// has every Δ-presplit cached, so a pooled run's workers never re-fork: the
+// blocked delta and the light threshold ride each step's input frame, and
+// the workers look their presplit up in their snapshot of the cache. Only a
+// presplit built after the workers forked makes them re-snapshot.
+
+core::ClusterOptions residency_opts(std::uint64_t seed,
+                                    const TransportOptions& t) {
+  core::ClusterOptions o;
+  o.tau = 2;  // sized so several stages run on a 300-node instance
+  o.stop_factor = 1.0;
+  o.seed = seed;
+  o.policy = core::GrowingPolicy::kPartitioned;
+  o.partition.num_partitions = 4;
+  o.transport = t;
+  return o;
+}
+
+/// The pool behind the context's pooled growing engine for `o`.
+PoolTransport* pool_of(exec::Context& ctx, const Graph& g,
+                       const core::ClusterOptions& o) {
+  return dynamic_cast<PoolTransport*>(
+      ctx.growing_engine(g, o.policy, o.partition).transport());
+}
+
+/// Same clustering and every RoundStats field but the wire counters.
+void expect_same_clustering(const core::Clustering& got,
+                            const core::Clustering& want) {
+  EXPECT_EQ(got.center_of, want.center_of);
+  EXPECT_EQ(got.dist_to_center, want.dist_to_center);
+  EXPECT_EQ(got.centers, want.centers);
+  EXPECT_EQ(got.radius, want.radius);
+  EXPECT_EQ(got.delta_end, want.delta_end);
+  EXPECT_EQ(got.stages, want.stages);
+  EXPECT_EQ(zero_wire(got.stats), zero_wire(want.stats));
+}
+
+TEST(PoolResidency, WarmRunsForkNoWorkersAndMatchLocalAndReference) {
+  const Graph g = test::make_family(Family::kMeshUniform, 300, 5);
+  const auto part = test::shards_for(g, residency_opts(1, {}).partition);
+  exec::Context pool_ctx;
+  exec::Context local_ctx;
+  std::uint64_t settled = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "pass " << pass << " seed " << seed);
+      const core::ClusterOptions lo = residency_opts(seed, {});
+      const core::ClusterOptions po = residency_opts(seed, pool_opts(2));
+      auto labels_of = [&](exec::Context& ctx) {
+        return ctx.growing_engine(g, lo.policy, lo.partition).labels();
+      };
+
+      const core::Clustering local = core::cluster(g, lo, &local_ctx);
+      const core::Clustering pooled = core::cluster(g, po, &pool_ctx);
+      expect_same_clustering(pooled, local);
+      test::expect_cluster_matches(pooled,
+                                   test::reference_cluster(g, lo, part.get())
+                                       .clustering);
+      EXPECT_EQ(labels_of(pool_ctx), labels_of(local_ctx));
+      EXPECT_GT(pooled.stats.wire_bytes, 0u);
+
+      const core::Cluster2Result local2 =
+          core::cluster2(g, {.base = lo}, &local_ctx);
+      const core::Cluster2Result pooled2 =
+          core::cluster2(g, {.base = po}, &pool_ctx);
+      expect_same_clustering(pooled2.clustering, local2.clustering);
+      EXPECT_EQ(pooled2.radius_cluster1, local2.radius_cluster1);
+      EXPECT_EQ(zero_wire(pooled2.bootstrap_stats),
+                zero_wire(local2.bootstrap_stats));
+      EXPECT_EQ(labels_of(pool_ctx), labels_of(local_ctx));
+
+      PoolTransport* pool = pool_of(pool_ctx, g, po);
+      ASSERT_NE(pool, nullptr);
+      EXPECT_EQ(pool->restarts(), 0u);
+      if (pass == 0) {
+        settled = pool->spawns();
+      } else {
+        EXPECT_EQ(pool->spawns(), settled) << "a warm run re-forked";
+      }
+    }
+  }
+  EXPECT_GE(settled, 2u);  // the first run did spawn its two workers
+}
+
+TEST(PoolResidency, ColdContextRespawnsOncePerNewDelta) {
+  const Graph g = test::make_family(Family::kMeshUniform, 300, 5);
+  core::ClusterOptions o = residency_opts(1, pool_opts(2));
+  o.delta_init = core::DeltaInit::kMinWeight;  // so the search doubles Δ
+  exec::Context ctx;
+  const core::Clustering cold = core::cluster(g, o, &ctx);
+  // The doubling search steps every Δ from min_weight up to delta_end, and
+  // each first use builds a presplit the resident workers lack: one spawn
+  // wave of two workers per distinct Δ; blocking a wave re-forks nothing.
+  std::uint64_t deltas = 0;
+  for (Weight d = g.min_weight(); d <= cold.delta_end; d *= 2.0) ++deltas;
+  ASSERT_GT(deltas, 1u) << "pick a graph whose growth doubles Δ";
+  ASSERT_GT(cold.stages, 1u);  // a contraction wave was blocked mid-run
+  PoolTransport* pool = pool_of(ctx, g, o);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->spawns(), 2u * deltas);
+
+  const core::Clustering warm = core::cluster(g, o, &ctx);
+  expect_same_clustering(warm, cold);
+  EXPECT_EQ(pool->spawns(), 2u * deltas);  // every Δ cached: no re-fork
+  EXPECT_EQ(pool->restarts(), 0u);
 }
 
 // ---------------------------------------------------------------------------
