@@ -1,6 +1,7 @@
 #include "exec/context.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/growing.hpp"
@@ -146,11 +147,10 @@ std::size_t Context::adopt_presplits(const Graph& g, const io::MappedGraph& m) {
   std::vector<SplitEntry> staged;
   for (const Weight delta : m.presplit_deltas()) {
     if (has_split(g, delta)) continue;
-    CsrSplit data;
-    if (!m.load_presplit(delta, data)) continue;
+    std::optional<SplitCsr> view = m.presplit(g, delta);
+    if (!view) continue;
     staged.push_back(SplitEntry{GraphKey::of(g), delta, pfp,
-                                std::make_unique<SplitCsr>(g, delta,
-                                                           std::move(data))});
+                                std::make_unique<SplitCsr>(std::move(*view))});
   }
   for (auto& e : staged) {
     if (splits_.size() >= kMaxSplits) splits_.pop_back();

@@ -150,10 +150,12 @@ class Context {
   /// Adopts the persisted presplit sidecars of a mapped .gcsr file into the
   /// split cache for `g` — the load-from-file warm path (DESIGN.md §14).
   /// `g` must be a view into `m`'s mapping (m.covers(g)); anything else
-  /// throws io::BinfmtError{kFingerprintMismatch}. All-or-nothing: every
-  /// sidecar is loaded and bounds-validated before any cache entry commits,
-  /// so a bad sidecar can never leave a partially warmed cache. Returns the
-  /// number of layouts adopted (0 when the file carries none).
+  /// throws io::BinfmtError{kFingerprintMismatch}. The adopted splits are
+  /// zero-copy views of the mapping (io::MappedGraph::presplit) that keep it
+  /// mapped while cached. All-or-nothing: every sidecar is validated before
+  /// any cache entry commits, so a bad sidecar (kBadPresplit) can never
+  /// leave a partially warmed cache. Returns the number of layouts adopted
+  /// (0 when the file carries none).
   std::size_t adopt_presplits(const Graph& g, const io::MappedGraph& m);
 
   /// True when split_for(g, delta) would hit the cache under the current
@@ -206,7 +208,8 @@ class Context {
     }
   };
 
-  /// Split caches hold one O(m) copy per distinct Δ; the CLUSTER doubling
+  /// Split caches hold one O(m) build per distinct Δ (an adopted sidecar
+  /// views its file instead); the CLUSTER doubling
   /// search visits O(log(Δ_end/Δ_0)) of them per run, so the cap comfortably
   /// covers a run while bounding a context reused across many graphs.
   static constexpr std::size_t kMaxSplits = 32;

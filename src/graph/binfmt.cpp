@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <utility>
 
 #include "util/fault.hpp"
@@ -76,6 +77,35 @@ std::uint64_t fingerprint_of(std::uint64_t n, std::uint64_t arcs,
                              std::uint64_t ck_weights) noexcept {
   const std::uint64_t words[5] = {n, arcs, ck_offsets, ck_targets, ck_weights};
   return gcsr_checksum(words, sizeof words);
+}
+
+/// One section payload: where it starts and how many bytes it has.
+struct Extent {
+  const void* data;
+  std::uint64_t length;
+};
+
+/// gcsr_checksum of every extent, as parallel per-section tasks. FNV-1a is a
+/// serial chain within a section, so the sections are the unit of
+/// parallelism; the largest start first so a big one never trails the rest.
+/// Each task writes only its own slot, so the values do not depend on the
+/// thread count or the schedule. The writer fills its table and open_mmap
+/// verifies payloads through this one helper.
+std::vector<std::uint64_t> section_checksums(const std::vector<Extent>& ex) {
+  std::vector<std::size_t> order(ex.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return ex[a].length > ex[b].length;
+                   });
+  std::vector<std::uint64_t> out(ex.size());
+  const auto tasks = static_cast<std::ptrdiff_t>(order.size());
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::ptrdiff_t k = 0; k < tasks; ++k) {
+    const std::size_t i = order[static_cast<std::size_t>(k)];
+    out[i] = gcsr_checksum(ex[i].data, ex[i].length);
+  }
+  return out;
 }
 
 // --- writer ----------------------------------------------------------------
@@ -177,17 +207,16 @@ void write_gcsr(const Graph& g, const std::string& path,
   struct Payload {
     std::uint32_t kind;
     double delta;
-    const void* data;
-    std::uint64_t length;
+    Extent bytes;
   };
   std::vector<Payload> payloads;
   payloads.reserve(3 + 3 * deltas.size());
-  payloads.push_back({kSecOffsets, 0.0, g.offsets().data(),
-                      g.offsets().size_bytes()});
-  payloads.push_back({kSecTargets, 0.0, g.targets().data(),
-                      g.targets().size_bytes()});
-  payloads.push_back({kSecWeights, 0.0, g.edge_weights().data(),
-                      g.edge_weights().size_bytes()});
+  payloads.push_back(
+      {kSecOffsets, 0.0, {g.offsets().data(), g.offsets().size_bytes()}});
+  payloads.push_back(
+      {kSecTargets, 0.0, {g.targets().data(), g.targets().size_bytes()}});
+  payloads.push_back({kSecWeights, 0.0,
+                      {g.edge_weights().data(), g.edge_weights().size_bytes()}});
 
   // The reorder happens here, once, at conversion time — exactly the work a
   // presplit-warmed server start skips.
@@ -197,22 +226,29 @@ void write_gcsr(const Graph& g, const std::string& path,
     splits.push_back(
         presplit_csr(g.offsets(), g.targets(), g.edge_weights(), d));
     const CsrSplit& s = splits.back();
-    payloads.push_back({kSecPresplitSplit, d, s.split.data(),
-                        s.split.size() * sizeof(EdgeIndex)});
-    payloads.push_back({kSecPresplitTargets, d, s.targets.data(),
-                        s.targets.size() * sizeof(NodeId)});
-    payloads.push_back({kSecPresplitWeights, d, s.weights.data(),
-                        s.weights.size() * sizeof(Weight)});
+    payloads.push_back({kSecPresplitSplit, d,
+                        {s.split.data(), s.split.size() * sizeof(EdgeIndex)}});
+    payloads.push_back(
+        {kSecPresplitTargets, d,
+         {s.targets.data(), s.targets.size() * sizeof(NodeId)}});
+    payloads.push_back(
+        {kSecPresplitWeights, d,
+         {s.weights.data(), s.weights.size() * sizeof(Weight)}});
   }
+
+  std::vector<Extent> extents;
+  extents.reserve(payloads.size());
+  for (const Payload& p : payloads) extents.push_back(p.bytes);
+  const std::vector<std::uint64_t> checksums = section_checksums(extents);
 
   std::vector<SectionEntry> table;
   table.reserve(payloads.size());
   std::uint64_t off = sizeof(GcsrHeader);
-  for (const Payload& p : payloads) {
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    const Payload& p = payloads[i];
     off = align_up(off);
-    table.push_back({p.kind, 0, off, p.length,
-                     gcsr_checksum(p.data, p.length), p.delta});
-    off += p.length;
+    table.push_back({p.kind, 0, off, p.bytes.length, checksums[i], p.delta});
+    off += p.bytes.length;
   }
   const std::uint64_t table_off = align_up(off);
 
@@ -241,7 +277,7 @@ void write_gcsr(const Graph& g, const std::string& path,
   std::uint64_t cur = sizeof(GcsrHeader);
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     write_padding(f, path, cur, table[i].offset);
-    write_all(f, path, payloads[i].data, payloads[i].length);
+    write_all(f, path, payloads[i].bytes.data, payloads[i].bytes.length);
     cur = table[i].offset + table[i].length;
   }
   write_padding(f, path, cur, table_off);
@@ -333,9 +369,14 @@ bool MappedGraph::covers(const Graph& g) const noexcept {
          g.edge_weights().size() == graph_.edge_weights().size();
 }
 
-bool MappedGraph::load_presplit(Weight delta, CsrSplit& out) const {
-  if (file_ == nullptr) return false;
+std::optional<SplitCsr> MappedGraph::presplit(const Graph& g,
+                                              Weight delta) const {
+  if (file_ == nullptr) return std::nullopt;
   const GcsrFile& f = *file_;
+  if (!covers(g)) {
+    fail(BinfmtErrc::kFingerprintMismatch,
+         f.path + ": presplit view for a graph this mapping does not cover");
+  }
   // Find the sidecar triple for this exact Δ.
   const SectionEntry* split_e = nullptr;
   const SectionEntry* targets_e = nullptr;
@@ -345,7 +386,7 @@ bool MappedGraph::load_presplit(Weight delta, CsrSplit& out) const {
     if (e.kind == kSecPresplitTargets && e.delta == delta) targets_e = &e;
     if (e.kind == kSecPresplitWeights && e.delta == delta) weights_e = &e;
   }
-  if (split_e == nullptr) return false;
+  if (split_e == nullptr) return std::nullopt;
   // open_mmap validated triples arrive complete; keep the invariant local.
   if (targets_e == nullptr || weights_e == nullptr) {
     fail(BinfmtErrc::kBadSection, f.path + ": incomplete presplit sidecar");
@@ -353,29 +394,46 @@ bool MappedGraph::load_presplit(Weight delta, CsrSplit& out) const {
   const auto split = section_span<EdgeIndex>(f, *split_e);
   const auto targets = section_span<NodeId>(f, *targets_e);
   const auto weights = section_span<Weight>(f, *weights_e);
-  // Bounds-validate the split offsets against the graph's CSR: split[u]
-  // must lie inside u's segment, or a kernel indexing through it would walk
-  // out of the adjacency. Checksums catch corruption; this catches a buggy
-  // or adversarial writer.
   const auto offsets = graph_.offsets();
   const NodeId n = graph_.num_nodes();
-  if (split.size() != n || targets.size() != graph_.targets().size() ||
-      weights.size() != graph_.edge_weights().size()) {
+  const EdgeIndex arcs = graph_.num_directed_edges();
+  if (split.size() != n || targets.size() != arcs || weights.size() != arcs) {
     fail(BinfmtErrc::kBadSection, f.path + ": presplit sidecar shape");
   }
-  bool ok = true;
-#pragma omp parallel for schedule(static) reduction(&& : ok)
+  // Kernels index through the view without checks, so everything they rely
+  // on is checked here, in one parallel pass: split[u] inside u's segment,
+  // every target a node, every weight positive, finite, at most the
+  // header's max weight and on its side of Δ. Checksums catch corruption;
+  // this catches a buggy or adversarial writer that re-stamped them.
+  const Weight max_w = graph_.max_weight();
+  const auto arc_bad = [&](EdgeIndex i) {
+    const Weight w = weights[i];
+    return static_cast<int>(targets[i] >= n) |
+           static_cast<int>(!(w > 0.0 && w <= max_w)) |
+           static_cast<int>(w == kInfiniteWeight);
+  };
+  int bad = 0;
+#pragma omp parallel for schedule(dynamic, 1024) reduction(| : bad)
   for (NodeId u = 0; u < n; ++u) {
-    ok = ok && split[u] >= offsets[u] && split[u] <= offsets[u + 1];
+    const EdgeIndex lo = offsets[u];
+    const EdgeIndex sp = split[u];
+    const EdgeIndex hi = offsets[u + 1];
+    if (!(lo <= sp && sp <= hi && hi <= arcs)) {
+      bad = 1;
+      continue;
+    }
+    for (EdgeIndex i = lo; i < sp; ++i) {
+      bad |= arc_bad(i) | static_cast<int>(!(weights[i] <= delta));
+    }
+    for (EdgeIndex i = sp; i < hi; ++i) {
+      bad |= arc_bad(i) | static_cast<int>(weights[i] <= delta);
+    }
   }
-  if (!ok) {
+  if (bad != 0) {
     fail(BinfmtErrc::kBadPresplit,
-         f.path + ": presplit split offsets out of CSR bounds");
+         f.path + ": presplit sidecar violates CSR bounds or its Δ split");
   }
-  out.split.assign(split.begin(), split.end());
-  out.targets.assign(targets.begin(), targets.end());
-  out.weights.assign(weights.begin(), weights.end());
-  return true;
+  return SplitCsr(g, delta, split, targets, weights, file_);
 }
 
 MappedGraph open_mmap(const std::string& path, const GcsrOpenOptions& opts) {
@@ -497,9 +555,17 @@ MappedGraph open_mmap(const std::string& path, const GcsrOpenOptions& opts) {
   }
 
   if (opts.verify_checksums) {
+    std::vector<Extent> extents;
+    extents.reserve(file->sections.size());
+    for (const SectionEntry& e : file->sections) {
+      extents.push_back({file->at(e.offset), e.length});
+    }
+    const std::vector<std::uint64_t> actual = section_checksums(extents);
+    // Every section is hashed before any is judged, and the report names
+    // the lowest mismatching index: the same error at any thread count.
     for (std::size_t i = 0; i < file->sections.size(); ++i) {
       const SectionEntry& e = file->sections[i];
-      if (gcsr_checksum(file->at(e.offset), e.length) != e.checksum) {
+      if (actual[i] != e.checksum) {
         fail(BinfmtErrc::kChecksumMismatch,
              path + ": section " + std::to_string(i) + " (kind " +
                  std::to_string(e.kind) + ") checksum mismatch");

@@ -26,17 +26,18 @@
 // of the in-memory layout, not an interchange format (use DIMACS / edge
 // lists to talk to other tools). open_mmap() maps the file, validates
 // magic, version, header and table checksums, section alignment and bounds
-// — and, by default, every section payload checksum — and hands out a
-// zero-copy Graph whose spans point straight into the mapping. Every
-// failure throws BinfmtError with a typed code; a corrupt or torn file can
-// never produce a Graph.
+// — and, by default, every section payload checksum (one parallel task per
+// section) and the CSR invariants — and hands out a zero-copy Graph whose
+// spans point straight into the mapping. Every failure throws BinfmtError
+// with a typed code; a corrupt or torn file can never produce a Graph.
 //
 // The presplit sidecars exist because a Δ-stepping server cold-start
 // otherwise pays the O(m) light/heavy reorder per (graph, Δ) before the
 // first query (Meyer–Sanders cost model; DESIGN.md §6):
-// exec::Context::adopt_presplits() installs them into the layout cache
-// after validation, so a restarted gdiamd serves its first query from the
-// same layouts the previous process computed.
+// exec::Context::adopt_presplits() installs them into the layout cache as
+// zero-copy SplitCsr views of the mapping (MappedGraph::presplit) after one
+// validation pass, so a restarted gdiamd serves its first query from the
+// same layouts the previous process computed, without copying them.
 
 #include <cstddef>
 #include <cstdint>
@@ -103,10 +104,11 @@ void write_gcsr(const Graph& g, const std::string& path,
                 const GcsrWriteOptions& opts = {});
 
 struct GcsrOpenOptions {
-  /// Verify every section payload checksum at open (one sequential read of
-  /// the file). Disable only for huge trusted files where first-touch
-  /// laziness matters more than early corruption detection; header, table
-  /// and structural validation always run.
+  /// Verify every section payload checksum at open (one read of the file,
+  /// one parallel task per section) and then the mapped CSR invariants
+  /// (Graph::validate, a parallel pass). Disable only for huge trusted
+  /// files where first-touch laziness matters more than early corruption
+  /// detection; header, table and structural validation always run.
   bool verify_checksums = true;
 };
 
@@ -128,11 +130,20 @@ class MappedGraph {
   /// Δ values with persisted presplit sidecars, ascending.
   [[nodiscard]] const std::vector<Weight>& presplit_deltas() const noexcept;
 
-  /// Loads the sidecar for `delta` (exact bit match) into `out`. Returns
-  /// false when the file has no sidecar for that Δ. Bounds-validates the
-  /// split offsets against the graph's CSR before returning; a sidecar that
-  /// passed its checksum but violates them throws BinfmtError{kBadPresplit}.
-  [[nodiscard]] bool load_presplit(Weight delta, CsrSplit& out) const;
+  /// The persisted presplit for `delta` (exact bit match) as a zero-copy
+  /// SplitCsr over `g`: its spans point into the mapping and its keep-alive
+  /// holds the file mapped. nullopt when the file has no sidecar for that Δ.
+  /// `g` must be a view of this mapping (covers(g)), else it throws
+  /// BinfmtError{kFingerprintMismatch}. One parallel pass first checks all
+  /// a kernel relies on; a sidecar that passed its checksum but breaks one
+  /// of these throws BinfmtError{kBadPresplit}:
+  ///   - split[u] lies inside u's CSR segment;
+  ///   - every target is < n;
+  ///   - every weight is positive, finite and at most the header's
+  ///     max_weight;
+  ///   - every weight sits on its side of Δ (light ⇔ w ≤ Δ).
+  [[nodiscard]] std::optional<SplitCsr> presplit(const Graph& g,
+                                                 Weight delta) const;
 
   /// True when `g` is a view into this mapping with this file's shape —
   /// the precondition for adopting sidecars for it.

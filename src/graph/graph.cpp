@@ -151,17 +151,28 @@ void Graph::compute_weight_stats() noexcept {
 
 bool Graph::validate() const {
   if (offsets_v_.empty() || offsets_v_.front() != 0) return false;
-  if (!std::is_sorted(offsets_v_.begin(), offsets_v_.end())) return false;
   if (offsets_v_.back() != targets_v_.size()) return false;
   if (targets_v_.size() != weights_v_.size()) return false;
+  // One parallel pass over each array: the check runs on every cold open of
+  // a mapped graph, where a serial scan costs as much as the checksums.
   const NodeId n = num_nodes();
-  for (const NodeId t : targets_v_) {
-    if (t >= n) return false;
+  const EdgeIndex* off = offsets_v_.data();
+  const NodeId* tgt = targets_v_.data();
+  const Weight* w = weights_v_.data();
+  const std::size_t m = targets_v_.size();
+  // Branch-free accumulation so the loops vectorize.
+  int bad = 0;
+#pragma omp parallel for schedule(static) reduction(| : bad)
+  for (NodeId u = 0; u < n; ++u) {
+    bad |= static_cast<int>(off[u] > off[u + 1]);
   }
-  for (const Weight w : weights_v_) {
-    if (!(w > 0.0) || w == kInfiniteWeight) return false;
+  if (bad != 0) return false;
+#pragma omp parallel for schedule(static) reduction(| : bad)
+  for (std::size_t i = 0; i < m; ++i) {
+    bad |= static_cast<int>(tgt[i] >= n) | static_cast<int>(!(w[i] > 0.0)) |
+           static_cast<int>(w[i] == kInfiniteWeight);
   }
-  return true;
+  return bad == 0;
 }
 
 bool Graph::is_symmetric() const {

@@ -1,6 +1,7 @@
 #include "graph/split_csr.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace gdiam {
 
@@ -39,20 +40,41 @@ CsrSplit presplit_csr(std::span<const EdgeIndex> offsets,
   return out;
 }
 
+SplitCsr::SplitCsr(const Graph& g, Weight delta) : g_(&g), delta_(delta) {
+  auto own = std::make_shared<const CsrSplit>(
+      presplit_csr(g.offsets(), g.targets(), g.edge_weights(), delta));
+  split_ = own->split;
+  targets_ = own->targets;
+  weights_ = own->weights;
+  backing_ = std::move(own);
+}
+
+SplitCsr::SplitCsr(const Graph& g, Weight delta,
+                   std::span<const EdgeIndex> split,
+                   std::span<const NodeId> targets,
+                   std::span<const Weight> weights,
+                   std::shared_ptr<const void> backing)
+    : g_(&g),
+      delta_(delta),
+      backing_(std::move(backing)),
+      split_(split),
+      targets_(targets),
+      weights_(weights) {}
+
 bool SplitCsr::validate() const {
   if (g_ == nullptr) return false;
   const Graph& g = *g_;
   const NodeId n = g.num_nodes();
-  if (data_.split.size() != n) return false;
-  if (data_.targets.size() != g.targets().size()) return false;
-  if (data_.weights.size() != g.edge_weights().size()) return false;
+  if (split_.size() != n) return false;
+  if (targets_.size() != g.targets().size()) return false;
+  if (weights_.size() != g.edge_weights().size()) return false;
 
   bool ok = true;
 #pragma omp parallel for schedule(dynamic, 512) reduction(&& : ok)
   for (NodeId u = 0; u < n; ++u) {
     const EdgeIndex lo = g.offsets()[u];
     const EdgeIndex hi = g.offsets()[u + 1];
-    const EdgeIndex sp = data_.split[u];
+    const EdgeIndex sp = split_[u];
     if (sp < lo || sp > hi) {
       ok = false;
       continue;
@@ -65,13 +87,13 @@ bool SplitCsr::validate() const {
     for (EdgeIndex i = lo; i < hi; ++i) {
       if (g.edge_weights()[i] <= delta_) {
         node_ok = node_ok && light < sp &&
-                  data_.targets[light] == g.targets()[i] &&
-                  data_.weights[light] == g.edge_weights()[i];
+                  targets_[light] == g.targets()[i] &&
+                  weights_[light] == g.edge_weights()[i];
         ++light;
       } else {
         node_ok = node_ok && heavy < hi &&
-                  data_.targets[heavy] == g.targets()[i] &&
-                  data_.weights[heavy] == g.edge_weights()[i];
+                  targets_[heavy] == g.targets()[i] &&
+                  weights_[heavy] == g.edge_weights()[i];
         ++heavy;
       }
     }

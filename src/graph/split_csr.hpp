@@ -19,6 +19,7 @@
 // enforce bit-for-bit.
 
 #include <cassert>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -47,73 +48,84 @@ struct CsrSplit {
                                     std::span<const Weight> weights,
                                     Weight delta);
 
-/// Graph-level split view: the graph's offsets plus presplit payload copies.
-/// Immutable after construction and safe to share across threads, like the
-/// Graph itself. Default-constructed instances are empty placeholders.
+/// Graph-level split view: the graph's offsets plus the light-first
+/// (split, targets, weights) arrays, held as spans behind an opaque
+/// keep-alive — the same two-flavor storage as Graph itself. A split built
+/// here owns its arrays through the keep-alive; one adopted from a .gcsr
+/// sidecar views the mapping and keeps the file mapped (graph/binfmt.hpp).
+/// Copies share the storage. Immutable after construction and safe to share
+/// across threads, like the Graph. Default-constructed instances are empty
+/// placeholders.
 class SplitCsr {
  public:
   SplitCsr() = default;
-  SplitCsr(const Graph& g, Weight delta)
-      : g_(&g),
-        delta_(delta),
-        data_(presplit_csr(g.offsets(), g.targets(), g.edge_weights(),
-                           delta)) {}
 
-  /// Adopts a prebuilt split (the persisted-presplit path, graph/binfmt.hpp:
-  /// `data` was loaded from a .gcsr sidecar instead of computed). The caller
-  /// vouches that `data` is exactly presplit_csr(g, delta) — exec::Context
-  /// bounds-checks on adoption and the binfmt round-trip tests pin the
-  /// bit-identity.
-  SplitCsr(const Graph& g, Weight delta, CsrSplit data)
-      : g_(&g), delta_(delta), data_(std::move(data)) {}
+  /// Builds presplit_csr(g, delta) into owned storage.
+  SplitCsr(const Graph& g, Weight delta);
+
+  /// Zero-copy view over externally owned split arrays (the persisted-
+  /// presplit path: a validated .gcsr sidecar, io::MappedGraph::presplit).
+  /// `backing` must keep the spans valid for as long as any copy of it is
+  /// held. The caller vouches that the arrays are presplit_csr(g, delta) —
+  /// MappedGraph::presplit checks every bound a kernel relies on before it
+  /// constructs one, and the binfmt round-trip tests pin the bit-identity.
+  SplitCsr(const Graph& g, Weight delta, std::span<const EdgeIndex> split,
+           std::span<const NodeId> targets, std::span<const Weight> weights,
+           std::shared_ptr<const void> backing);
 
   [[nodiscard]] bool empty() const noexcept { return g_ == nullptr; }
   [[nodiscard]] Weight delta() const noexcept { return delta_; }
 
+  /// The storage keep-alive: the owned arrays, or the mapped file a sidecar
+  /// view points into. Lets callers check which storage a split uses.
+  [[nodiscard]] const std::shared_ptr<const void>& backing() const noexcept {
+    return backing_;
+  }
+
   /// Index of u's first heavy arc in [offsets[u], offsets[u+1]].
   [[nodiscard]] EdgeIndex split_at(NodeId u) const noexcept {
-    return data_.split[u];
+    return split_[u];
   }
   [[nodiscard]] EdgeIndex light_degree(NodeId u) const noexcept {
-    return data_.split[u] - g_->offsets()[u];
+    return split_[u] - g_->offsets()[u];
   }
   [[nodiscard]] EdgeIndex heavy_degree(NodeId u) const noexcept {
-    return g_->offsets()[u + 1] - data_.split[u];
+    return g_->offsets()[u + 1] - split_[u];
   }
 
   [[nodiscard]] std::span<const NodeId> light_neighbors(NodeId u) const noexcept {
     const EdgeIndex lo = g_->offsets()[u];
-    return {data_.targets.data() + lo,
-            static_cast<std::size_t>(data_.split[u] - lo)};
+    return {targets_.data() + lo, static_cast<std::size_t>(split_[u] - lo)};
   }
   [[nodiscard]] std::span<const Weight> light_weights(NodeId u) const noexcept {
     const EdgeIndex lo = g_->offsets()[u];
-    return {data_.weights.data() + lo,
-            static_cast<std::size_t>(data_.split[u] - lo)};
+    return {weights_.data() + lo, static_cast<std::size_t>(split_[u] - lo)};
   }
   [[nodiscard]] std::span<const NodeId> heavy_neighbors(NodeId u) const noexcept {
     const EdgeIndex hi = g_->offsets()[u + 1];
-    return {data_.targets.data() + data_.split[u],
-            static_cast<std::size_t>(hi - data_.split[u])};
+    return {targets_.data() + split_[u],
+            static_cast<std::size_t>(hi - split_[u])};
   }
   [[nodiscard]] std::span<const Weight> heavy_weights(NodeId u) const noexcept {
     const EdgeIndex hi = g_->offsets()[u + 1];
-    return {data_.weights.data() + data_.split[u],
-            static_cast<std::size_t>(hi - data_.split[u])};
+    return {weights_.data() + split_[u],
+            static_cast<std::size_t>(hi - split_[u])};
   }
-
-  /// Raw permuted arrays (for kernels that iterate arcs by index).
-  [[nodiscard]] const CsrSplit& data() const noexcept { return data_; }
 
   /// Checks the split invariants against the source graph: per-node segments
   /// are a permutation of the original adjacency (as (target, weight)
-  /// multisets), classes are pure, and split offsets are in bounds.
+  /// multisets), classes are pure, and split offsets are in bounds. Since
+  /// presplit_csr is a stable partition, true means the arrays are exactly
+  /// presplit_csr(g, delta).
   [[nodiscard]] bool validate() const;
 
  private:
   const Graph* g_ = nullptr;
   Weight delta_ = 0.0;
-  CsrSplit data_;
+  std::shared_ptr<const void> backing_;
+  std::span<const EdgeIndex> split_;
+  std::span<const NodeId> targets_;
+  std::span<const Weight> weights_;
 };
 
 }  // namespace gdiam

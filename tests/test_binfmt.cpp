@@ -17,12 +17,14 @@
 //      checksums the validator checks *before* the mutated field, so each
 //      test fails on exactly the check it targets.
 
+#include <omp.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,6 +53,7 @@ constexpr std::size_t kNumNodesOff = 16;         // u64
 constexpr std::size_t kWeightKindOff = 32;       // u32
 constexpr std::size_t kSectionCountOff = 36;     // u32
 constexpr std::size_t kTableOffOff = 40;         // u64
+constexpr std::size_t kMaxWeightOff = 56;        // f64
 constexpr std::size_t kEntrySize = 40;
 constexpr std::size_t kEntryKindOff = 0;      // u32
 constexpr std::size_t kEntryOffsetOff = 8;    // u64
@@ -133,6 +136,52 @@ std::optional<BinfmtErrc> open_code(const std::string& path,
   return std::nullopt;
 }
 
+/// The what() of a failing open ("" when it succeeds): the message names
+/// the check that failed, finer than the typed code.
+std::string open_error(const std::string& path) {
+  try {
+    (void)open_mmap(path);
+  } catch (const BinfmtError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool contains(const std::string& haystack, const std::string& needle) {
+  return haystack.find(needle) != std::string::npos;
+}
+
+/// Overwrites element `index` of section `sec`'s payload with `value` and
+/// re-stamps that section's checksum and the table checksum, so the file
+/// opens clean and only the semantic checks behind it can object.
+template <typename T>
+void poison_section(std::vector<unsigned char>& b, std::size_t sec,
+                    std::size_t index, T value) {
+  const std::size_t e = entry_at(b, sec);
+  const auto off = rd<std::uint64_t>(b, e + kEntryOffsetOff);
+  const auto len = rd<std::uint64_t>(b, e + kEntryLengthOff);
+  ASSERT_LT(index * sizeof(T), len);
+  wr<T>(b, off + index * sizeof(T), value);
+  wr<std::uint64_t>(b, e + kEntryChecksumOff,
+                    gcsr_checksum(b.data() + off, len));
+  restamp_table(b);
+}
+
+/// Element `index` of section `sec`'s payload.
+template <typename T>
+T section_at(const std::vector<unsigned char>& b, std::size_t sec,
+             std::size_t index) {
+  return rd<T>(b, rd<std::uint64_t>(b, entry_at(b, sec) + kEntryOffsetOff) +
+                      index * sizeof(T));
+}
+
+/// Number of elements of type T in section `sec`'s payload.
+template <typename T>
+std::size_t section_size(const std::vector<unsigned char>& b,
+                         std::size_t sec) {
+  return rd<std::uint64_t>(b, entry_at(b, sec) + kEntryLengthOff) / sizeof(T);
+}
+
 template <typename T>
 bool bits_equal(std::span<const T> a, std::span<const T> b) {
   if (a.size() != b.size()) return false;
@@ -145,10 +194,37 @@ bool same_csr(const Graph& a, const Graph& b) {
          bits_equal(a.edge_weights(), b.edge_weights());
 }
 
-bool same_split(const CsrSplit& a, const CsrSplit& b) {
-  return bits_equal<EdgeIndex>(a.split, b.split) &&
-         bits_equal<NodeId>(a.targets, b.targets) &&
-         bits_equal<Weight>(a.weights, b.weights);
+/// Bit-identity of a split view of g with a freshly computed presplit,
+/// node by node (a SplitCsr hands out per-node segments, not raw arrays).
+bool same_split(const Graph& g, const SplitCsr& a, const CsrSplit& b) {
+  if (b.split.size() != g.num_nodes()) return false;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const EdgeIndex lo = g.offsets()[u];
+    const EdgeIndex sp = b.split[u];
+    const EdgeIndex hi = g.offsets()[u + 1];
+    if (a.split_at(u) != sp) return false;
+    const std::span<const NodeId> lt(b.targets.data() + lo, sp - lo);
+    const std::span<const NodeId> ht(b.targets.data() + sp, hi - sp);
+    const std::span<const Weight> lw(b.weights.data() + lo, sp - lo);
+    const std::span<const Weight> hw(b.weights.data() + sp, hi - sp);
+    if (!bits_equal(a.light_neighbors(u), lt) ||
+        !bits_equal(a.heavy_neighbors(u), ht) ||
+        !bits_equal(a.light_weights(u), lw) ||
+        !bits_equal(a.heavy_weights(u), hw)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True when [p, p + bytes) lies inside m's file mapping. The offsets
+/// section is the first payload and starts right after the 128-byte header.
+bool inside_mapping(const MappedGraph& m, const void* p, std::size_t bytes) {
+  const auto* base = reinterpret_cast<const unsigned char*>(
+                         m.graph().offsets().data()) -
+                     kHeaderSize;
+  const auto* q = static_cast<const unsigned char*>(p);
+  return q >= base && q + bytes <= base + m.file_bytes();
 }
 
 /// Writes g as a full-precision edge list ("%.17g" round-trips every double
@@ -195,14 +271,13 @@ TEST_F(BinfmtTest, RoundTripIsBitIdenticalForEveryFamily) {
 
     EXPECT_EQ(m.presplit_deltas(), (std::vector<Weight>{0.05, 0.5}));
     for (const Weight delta : m.presplit_deltas()) {
-      CsrSplit loaded;
-      ASSERT_TRUE(m.load_presplit(delta, loaded));
+      const std::optional<SplitCsr> loaded = m.presplit(h, delta);
+      ASSERT_TRUE(loaded.has_value());
       const CsrSplit fresh = presplit_csr(g.offsets(), g.targets(),
                                           g.edge_weights(), delta);
-      EXPECT_TRUE(same_split(loaded, fresh)) << "delta=" << delta;
+      EXPECT_TRUE(same_split(h, *loaded, fresh)) << "delta=" << delta;
     }
-    CsrSplit missing;
-    EXPECT_FALSE(m.load_presplit(0.123, missing));
+    EXPECT_FALSE(m.presplit(h, 0.123).has_value());
     ++i;
   }
 }
@@ -217,9 +292,9 @@ TEST_F(BinfmtTest, RoundTripsDegenerateGraphs) {
     EXPECT_EQ(m.graph().num_nodes(), n);
     EXPECT_EQ(m.graph().num_directed_edges(), 0u);
     EXPECT_TRUE(same_csr(g, m.graph()));
-    CsrSplit s;
-    ASSERT_TRUE(m.load_presplit(1.0, s));
-    EXPECT_EQ(s.split.size(), n);
+    const std::optional<SplitCsr> s = m.presplit(m.graph(), 1.0);
+    ASSERT_TRUE(s.has_value());
+    EXPECT_TRUE(s->validate());
   }
 }
 
@@ -287,7 +362,40 @@ TEST_F(BinfmtTest, AdoptPresplitsWarmsTheContextCache) {
   EXPECT_TRUE(adopted.validate());
   const CsrSplit fresh = presplit_csr(g.offsets(), g.targets(),
                                       g.edge_weights(), 0.1);
-  EXPECT_TRUE(same_split(adopted.data(), fresh));
+  EXPECT_TRUE(same_split(g, adopted, fresh));
+}
+
+TEST_F(BinfmtTest, AdoptedSidecarIsAViewIntoTheMapping) {
+  const Graph src = test::make_family(test::Family::kRmatGiant, 150, 4);
+  const std::string p = path("inplace.gcsr");
+  write_gcsr(src, p, {.presplit_deltas = {0.3}});
+
+  const MappedGraph m = open_mmap(p);
+  const Graph g = m.graph();
+  exec::Context ctx;
+  ASSERT_EQ(ctx.adopt_presplits(g, m), 1u);
+  const SplitCsr& adopted = ctx.split_for(g, 0.3);
+  // No copy: the adopted split keeps the file mapped and every segment it
+  // hands out points into the mapping.
+  EXPECT_EQ(adopted.backing(), g.backing());
+  bool light_seen = false, heavy_seen = false;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto ln = adopted.light_neighbors(u);
+    const auto lw = adopted.light_weights(u);
+    const auto hn = adopted.heavy_neighbors(u);
+    const auto hw = adopted.heavy_weights(u);
+    EXPECT_TRUE(inside_mapping(m, ln.data(), ln.size_bytes())) << u;
+    EXPECT_TRUE(inside_mapping(m, lw.data(), lw.size_bytes())) << u;
+    EXPECT_TRUE(inside_mapping(m, hn.data(), hn.size_bytes())) << u;
+    EXPECT_TRUE(inside_mapping(m, hw.data(), hw.size_bytes())) << u;
+    light_seen = light_seen || !ln.empty();
+    heavy_seen = heavy_seen || !hn.empty();
+  }
+  EXPECT_TRUE(light_seen && heavy_seen);  // both classes were exercised
+  // A split built in memory owns its arrays instead.
+  const SplitCsr built(g, 0.3);
+  EXPECT_NE(built.backing(), g.backing());
+  EXPECT_FALSE(inside_mapping(m, built.light_neighbors(0).data(), 1));
 }
 
 TEST_F(BinfmtTest, AdoptionRejectsAGraphTheFileDoesNotCover) {
@@ -520,6 +628,8 @@ TEST_F(BinfmtTest, RejectsPayloadBitFlip) {
   bytes[off] ^= 0x01;
   dump(p, bytes);
   EXPECT_EQ(open_code(p), BinfmtErrc::kChecksumMismatch);
+  EXPECT_TRUE(contains(open_error(p), "section 1 (kind 2) checksum mismatch"))
+      << open_error(p);
   // verify_checksums=false skips the payload pass — but the fingerprint in
   // the header no longer matches what this section's stored checksum feeds
   // into, so nothing here silently succeeds; flipping a *weights* byte and
@@ -536,6 +646,8 @@ TEST_F(BinfmtTest, RejectsTableBitFlip) {
                     rd<std::uint64_t>(bytes, e1 + kEntryChecksumOff) ^ 1);
   dump(p, bytes);  // table checksum not re-stamped: it must catch this
   EXPECT_EQ(open_code(p), BinfmtErrc::kChecksumMismatch);
+  EXPECT_TRUE(contains(open_error(p), "section table checksum mismatch"))
+      << open_error(p);
 }
 
 TEST_F(BinfmtTest, RejectsMisalignedSection) {
@@ -570,41 +682,168 @@ TEST_F(BinfmtTest, RejectsWrongSectionKindAndLength) {
   EXPECT_EQ(open_code(p), BinfmtErrc::kBadSection);
 }
 
+/// Opens `p` (which must validate clean) and checks that adopting its
+/// sidecars throws kBadPresplit and commits neither of the fixture's Δs.
+void expect_rejected_without_partial_adoption(const std::string& p) {
+  const MappedGraph m = open_mmap(p);  // full checksum pass is clean
+  const Graph g = m.graph();
+  exec::Context ctx;
+  try {
+    (void)ctx.adopt_presplits(g, m);
+    ADD_FAILURE() << "poisoned sidecar adopted";
+  } catch (const BinfmtError& e) {
+    EXPECT_EQ(e.code(), BinfmtErrc::kBadPresplit) << e.what();
+  }
+  // All-or-nothing adoption: the good Δ=0.1 layout must NOT be committed
+  // when the Δ=0.2 one throws.
+  EXPECT_FALSE(ctx.has_split(g, 0.1));
+  EXPECT_FALSE(ctx.has_split(g, 0.2));
+}
+
+// Sections of the corruption fixture: 0–2 graph CSR, 3–5 the Δ=0.1 triple,
+// 6–8 the Δ=0.2 triple (split, targets, weights).
+constexpr std::size_t kSplit02 = 6;
+constexpr std::size_t kTargets02 = 7;
+constexpr std::size_t kWeights02 = 8;
+
 TEST_F(BinfmtTest, CorruptSidecarIsRejectedWithoutPartialAdoption) {
   const std::string p = path("sidecar.gcsr");
   (void)corruption_fixture(p);  // sidecars for Δ = 0.1 and Δ = 0.2
   auto bytes = slurp(p);
 
-  // Sections: 0–2 graph CSR, 3–5 the Δ=0.1 triple, 6–8 the Δ=0.2 triple.
   // Poison the Δ=0.2 split array with an out-of-bounds offset and re-stamp
   // its checksum: the file validates clean at open, the semantic bounds
   // check at load time is the last line of defense.
-  const std::size_t e6 = entry_at(bytes, 6);
-  const auto off = rd<std::uint64_t>(bytes, e6 + kEntryOffsetOff);
-  const auto len = rd<std::uint64_t>(bytes, e6 + kEntryLengthOff);
-  wr<std::uint64_t>(bytes, off, ~std::uint64_t{0});
-  wr<std::uint64_t>(bytes, e6 + kEntryChecksumOff,
-                    gcsr_checksum(bytes.data() + off, len));
-  restamp_table(bytes);
+  poison_section<std::uint64_t>(bytes, kSplit02, 0, ~std::uint64_t{0});
   dump(p, bytes);
 
   const MappedGraph m = open_mmap(p);  // full checksum pass is clean
   const Graph g = m.graph();
-  CsrSplit out;
-  ASSERT_TRUE(m.load_presplit(0.1, out));  // the intact sidecar still loads
+  // The intact sidecar still yields a view.
+  ASSERT_TRUE(m.presplit(g, 0.1).has_value());
   try {
-    (void)m.load_presplit(0.2, out);
+    (void)m.presplit(g, 0.2);
     FAIL() << "out-of-bounds sidecar loaded";
   } catch (const BinfmtError& e) {
     EXPECT_EQ(e.code(), BinfmtErrc::kBadPresplit);
   }
+  expect_rejected_without_partial_adoption(p);
+}
 
-  // All-or-nothing adoption: the good Δ=0.1 layout must NOT be committed
-  // when the Δ=0.2 one throws.
-  exec::Context ctx;
-  EXPECT_THROW((void)ctx.adopt_presplits(g, m), BinfmtError);
-  EXPECT_FALSE(ctx.has_split(g, 0.1));
-  EXPECT_FALSE(ctx.has_split(g, 0.2));
+TEST_F(BinfmtTest, OutOfRangeSidecarTargetIsRejectedWithoutPartialAdoption) {
+  const std::string p = path("sidecar_target.gcsr");
+  (void)corruption_fixture(p);
+  auto bytes = slurp(p);
+  // A target far past n: a kernel reading dist[target] through the adopted
+  // view would fault.
+  poison_section<std::uint32_t>(bytes, kTargets02, 0, 0x7fffffffu);
+  dump(p, bytes);
+  expect_rejected_without_partial_adoption(p);
+}
+
+TEST_F(BinfmtTest, HeavyWeightInLightSegmentIsRejectedWithoutPartialAdoption) {
+  const std::string p = path("sidecar_side.gcsr");
+  (void)corruption_fixture(p);
+  const auto pristine = slurp(p);
+  const std::size_t arcs = section_size<Weight>(pristine, kWeights02);
+  std::size_t light = arcs, heavy = arcs;
+  for (std::size_t i = 0; i < arcs; ++i) {
+    const auto w = section_at<Weight>(pristine, kWeights02, i);
+    if (w <= 0.2 && light == arcs) light = i;
+    if (w > 0.2 && heavy == arcs) heavy = i;
+  }
+  ASSERT_LT(light, arcs);
+  ASSERT_LT(heavy, arcs);
+  // Copy a heavy weight (> Δ = 0.2) over the first light one: the weight
+  // is a real edge weight of the graph, only its side of Δ is wrong.
+  auto bytes = pristine;
+  poison_section<Weight>(bytes, kWeights02, light,
+                         section_at<Weight>(bytes, kWeights02, heavy));
+  dump(p, bytes);
+  expect_rejected_without_partial_adoption(p);
+  // And the converse: a light weight in the heavy segment.
+  bytes = pristine;
+  poison_section<Weight>(bytes, kWeights02, heavy,
+                         section_at<Weight>(bytes, kWeights02, light));
+  dump(p, bytes);
+  expect_rejected_without_partial_adoption(p);
+}
+
+TEST_F(BinfmtTest, SidecarWeightOutsideTheGraphRangeIsRejected) {
+  const std::string p = path("sidecar_weight.gcsr");
+  const Graph g = corruption_fixture(p);
+  const auto pristine = slurp(p);
+  // Each poison lands on a heavy arc, so a value on the right side of Δ
+  // (2 × max, ∞) can only be caught by the range checks.
+  const std::size_t arcs = section_size<Weight>(pristine, kWeights02);
+  std::size_t heavy = arcs;
+  for (std::size_t i = 0; i < arcs && heavy == arcs; ++i) {
+    if (section_at<Weight>(pristine, kWeights02, i) > 0.2) heavy = i;
+  }
+  ASSERT_LT(heavy, arcs);
+  for (const Weight w :
+       {2.0 * g.max_weight(), kInfiniteWeight,
+        std::numeric_limits<Weight>::quiet_NaN(), 0.0, -1.0}) {
+    SCOPED_TRACE(w);
+    auto bytes = pristine;
+    poison_section<Weight>(bytes, kWeights02, heavy, w);
+    dump(p, bytes);
+    expect_rejected_without_partial_adoption(p);
+  }
+  // A header whose max_weight was re-stamped to ∞ does not admit an
+  // infinite sidecar weight either.
+  auto bytes = pristine;
+  wr<Weight>(bytes, kMaxWeightOff, kInfiniteWeight);
+  restamp_header(bytes);
+  poison_section<Weight>(bytes, kWeights02, heavy, kInfiniteWeight);
+  dump(p, bytes);
+  expect_rejected_without_partial_adoption(p);
+}
+
+// --- 3b. parallel verification is deterministic -----------------------------
+
+/// Runs `fn` with the OpenMP team size set to `threads`, then restores it.
+template <typename Fn>
+void with_threads(int threads, Fn&& fn) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  fn();
+  omp_set_num_threads(saved);
+}
+
+TEST_F(BinfmtTest, ParallelVerificationNamesTheLowestCorruptSection) {
+  const std::string p = path("two_bad.gcsr");
+  (void)corruption_fixture(p);
+  auto bytes = slurp(p);
+  // Corrupt the graph's targets (section 1) and the Δ=0.1 presplit targets
+  // (section 4), checksums left stale: both tasks see a mismatch.
+  for (const std::size_t sec : {std::size_t{1}, std::size_t{4}}) {
+    bytes[rd<std::uint64_t>(bytes, entry_at(bytes, sec) + kEntryOffsetOff)] ^=
+        0x01;
+  }
+  dump(p, bytes);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    with_threads(threads, [&] {
+      EXPECT_EQ(open_code(p), BinfmtErrc::kChecksumMismatch);
+      const std::string what = open_error(p);
+      EXPECT_TRUE(contains(what, "section 1 (kind 2) checksum mismatch"))
+          << what;
+    });
+  }
+}
+
+TEST_F(BinfmtTest, WriterOutputIsByteIdenticalAcrossThreadCounts) {
+  const Graph g = test::make_family(test::Family::kRmatGiant, 300, 6);
+  const std::string a = path("threads_1.gcsr");
+  const std::string b = path("threads_4.gcsr");
+  const GcsrWriteOptions opts{.presplit_deltas = {0.2, 0.6}};
+  with_threads(1, [&] { write_gcsr(g, a, opts); });
+  with_threads(4, [&] { write_gcsr(g, b, opts); });
+  const auto bytes_a = slurp(a);
+  EXPECT_FALSE(bytes_a.empty());
+  EXPECT_TRUE(bytes_a == slurp(b));
+  EXPECT_EQ(open_mmap(a).fingerprint(), open_mmap(b).fingerprint());
 }
 
 TEST_F(BinfmtTest, WriteFaultsSurfaceAsTypedIoErrors) {

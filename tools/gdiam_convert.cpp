@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,17 +96,16 @@ bool verify_output(const Graph& src, const std::string& path) {
     std::fprintf(stderr, "verify: persisted weight stats differ\n");
     return false;
   }
+  // The mapped CSR equals the source's (checked above), so a sidecar view
+  // that validates against it is exactly a fresh presplit of the source:
+  // SplitCsr::validate checks the stable light-first permutation arc by arc.
   for (const Weight delta : m.presplit_deltas()) {
-    CsrSplit loaded;
-    if (!m.load_presplit(delta, loaded)) {
+    const std::optional<SplitCsr> loaded = m.presplit(g, delta);
+    if (!loaded) {
       std::fprintf(stderr, "verify: sidecar for delta=%g missing\n", delta);
       return false;
     }
-    const CsrSplit fresh = presplit_csr(src.offsets(), src.targets(),
-                                        src.edge_weights(), delta);
-    if (!bits_equal<EdgeIndex>(loaded.split, fresh.split) ||
-        !bits_equal<NodeId>(loaded.targets, fresh.targets) ||
-        !bits_equal<Weight>(loaded.weights, fresh.weights)) {
+    if (!loaded->validate()) {
       std::fprintf(stderr, "verify: sidecar for delta=%g differs from a"
                            " fresh presplit\n", delta);
       return false;
