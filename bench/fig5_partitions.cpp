@@ -168,12 +168,13 @@ int main(int argc, char** argv) {
   }
   cut.print(std::cout);
 
-  // Local vs process transport at fixed K (DESIGN.md §9): the same
-  // supersteps, compute fanned out over forked workers exchanging messages
-  // over Unix-domain sockets. Model-level counters and results must match
-  // bit-for-bit; the wire columns and the wall clock show what the process
-  // boundary actually costs (λ per superstep: fork + serialize + read back).
-  std::printf("\nlocal vs process transport (K=4, P=2):\n");
+  // Local vs pool transport at fixed K (DESIGN.md §9): the same
+  // supersteps, compute fanned out over resident forked workers exchanging
+  // messages over Unix-domain sockets. Model-level counters and results must
+  // match bit-for-bit; the wire columns and the wall clock show what the
+  // process boundary actually costs (λ per superstep: ship inputs +
+  // serialize + read back, plus a fork wave per new Δ).
+  std::printf("\nlocal vs pool transport (K=4, P=2):\n");
   util::Table ab({"graph", "algo", "transport", "wall", "wire msgs",
                   "wire bytes", "exact"});
   for (const auto& inst : suite) {
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
       std::vector<NodeId> ref_labels, labels;
       std::vector<Weight> ref_dist, dist;
       for (const auto kind :
-           {mr::TransportKind::kLocal, mr::TransportKind::kProcess}) {
+           {mr::TransportKind::kLocal, mr::TransportKind::kPool}) {
         const mr::TransportOptions transport{.kind = kind, .processes = 2};
         const bool is_local = kind == mr::TransportKind::kLocal;
         util::Timer t;
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
         ab.row()
             .cell(inst.name)
             .cell(algo)
-            .cell(is_local ? "local" : "process")
+            .cell(is_local ? "local" : "pool")
             .cell(util::format_duration(t.seconds()))
             .sci(static_cast<double>(s.wire_messages))
             .sci(static_cast<double>(s.wire_bytes))
@@ -216,7 +217,7 @@ int main(int argc, char** argv) {
       "hash edge-cut ceiling (1-1/K of messages) as K grows, and range\n"
       "partitioning cuts it by an order of magnitude on the mesh; labels\n"
       "stay bit-identical to the flat engine at every K — and to the\n"
-      "process transport, whose wire columns are nonzero (the price tag\n"
+      "pool transport, whose wire columns are nonzero (the price tag\n"
       "the paper's round-efficiency thesis is about).\n");
   return 0;
 }

@@ -123,17 +123,17 @@ void GrowingEngine::set_source(NodeId u, NodeId center, Weight dist) {
 }
 
 void GrowingEngine::block(std::span<const NodeId> wave) noexcept {
-  const bool resident = resident_pool();
+  const bool remote = bsp_ != nullptr && bsp_->remote_compute();
 #pragma omp parallel for schedule(static, 4096)
   for (std::size_t i = 0; i < wave.size(); ++i) {
     const NodeId v = wave[i];
     blocked_[v] = 1;
-    if (resident) {
+    if (remote) {
       std::atomic_ref<std::uint64_t>(pool_blocked_bits_[v >> 6])
           .fetch_or(std::uint64_t{1} << (v & 63), std::memory_order_relaxed);
     }
   }
-  if (resident && !wave.empty()) pool_blocked_dirty_ = true;
+  if (remote && !wave.empty()) pool_blocked_dirty_ = true;
 }
 
 // Re-derives the active set from the labels into the Frontier (and the
@@ -608,16 +608,14 @@ GrowingStepResult GrowingEngine::step_partitioned(
   const std::uint32_t k = partition_->num_partitions();
   const bool dense = afrontier_.collect_mode() == FrontierMode::kDense;
   (dense ? out.dense_rounds : out.sparse_rounds) = 1;
-  // Remote transport: compute's lazy scratch folds become loopback records
-  // replayed by apply, which already does the identical touch-stamp fold for
-  // routed proposals (DESIGN.md §9).
-  const bool remote = bsp_->remote_compute();
-  // Resident transport: the active set (dense frontier test or sparse
+  // Remote transport: the active set (dense frontier test or sparse
   // shard_active_ lists) is enumerated here, in this mode's exact order, and
-  // shipped — the frozen workers replay edges without reading either.
-  const bool resident = resident_pool();
+  // shipped — the frozen workers replay edges without reading either, and
+  // stage their owned-target proposals as loopback records that apply folds
+  // exactly like routed ones (DESIGN.md §9).
+  const bool remote = bsp_->remote_compute();
   mr::StepInputCodec pool_codec;
-  if (resident) {
+  if (remote) {
     build_pool_senders(params, dense);
     pool_codec = make_pool_codec();
   }
@@ -635,7 +633,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
   std::vector<std::uint64_t> shard_newly(k, 0);
 
   auto compute = [&](const mr::Shard& sh, mr::Exchange<LabelProposal>& ex) {
-    if (resident) {  // shipped senders; frame-locals below stay untouched
+    if (remote) {  // shipped senders; frame-locals below stay untouched
       pool_compute_shard(sh, ex, shard_messages[sh.id]);
       return;
     }
@@ -671,11 +669,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
         ++messages;
         const PackedLabel cand = pack_label(static_cast<float>(nb), c);
         if (!sh.is_ghost(tl)) {
-          if (remote) {
-            ex.loopback(sh.id, LabelProposal{tl, cand});
-          } else {
-            propose(v, cand);
-          }
+          propose(v, cand);
         } else {
           ex.send(sh.id, sh.ghost_owner[tl - sh.num_owned],
                   LabelProposal{partition_->local_id(v), cand});
@@ -729,7 +723,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
   const mr::ExchangeCounters traffic = bsp_->superstep(
       exchange_, compute, apply, nullptr,
       std::span<std::uint64_t>(shard_messages.data(), shard_messages.size()),
-      resident ? &pool_codec : nullptr);
+      remote ? &pool_codec : nullptr);
 
   // The workers hold the blocked delta now (or a snapshot that has it).
   if (pool_blocked_dirty_) {

@@ -94,7 +94,7 @@ struct GrowingStepResult {
   std::uint64_t cross_node_messages = 0;
   std::uint64_t cross_node_bytes = 0;
   /// Records/bytes that crossed a *process* boundary (kPartitioned under
-  /// TransportKind::kProcess only; see mr/transport.hpp).
+  /// TransportKind::kPool only; see mr/transport.hpp).
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
   /// Round classification under the sparse/dense frontier engine
@@ -139,7 +139,7 @@ class GrowingEngine {
   /// which apply it to their own copy of the blocked set.
   void block(NodeId u) noexcept {
     blocked_[u] = 1;
-    if (resident_pool()) {
+    if (bsp_ != nullptr && bsp_->remote_compute()) {
       pool_blocked_bits_[u >> 6] |= std::uint64_t{1} << (u & 63);
       pool_blocked_dirty_ = true;
     }
@@ -295,11 +295,6 @@ class GrowingEngine {
     PackedLabel label = kUnassignedLabel;
     Weight budget = 0.0;
   };
-
-  /// True when kPartitioned supersteps run on resident pool workers.
-  [[nodiscard]] bool resident_pool() const noexcept {
-    return bsp_ != nullptr && bsp_->resident_compute();
-  }
 
   GrowingStepResult step_push(const GrowingStepParams& params);
   GrowingStepResult step_pull(const GrowingStepParams& params);

@@ -51,11 +51,11 @@ struct ExecOptions {
   mr::PartitionOptions partition;
   /// Where the BSP compute phases run and how staged messages travel
   /// (mr/transport.hpp, DESIGN.md §9–§10): kLocal is the in-process default,
-  /// kProcess fans each superstep out over `processes` forked workers, and
-  /// kPool keeps those workers resident across supersteps with per-step
-  /// inputs shipped over persistent sockets — all bit-identical results,
-  /// with RoundStats additionally reporting the genuinely-crossed wire
-  /// bytes. Only the partitioned backends read it.
+  /// kPool fans each superstep out over `processes` forked workers kept
+  /// resident across supersteps, with per-step inputs shipped over
+  /// persistent sockets — bit-identical results, with RoundStats
+  /// additionally reporting the genuinely-crossed wire bytes. Only the
+  /// partitioned backends read it.
   mr::TransportOptions transport;
   /// NUMA-aware shard placement (mr/placement.hpp, DESIGN.md §13): which
   /// strategy maps shards onto the discovered topology (GDIAM_TOPOLOGY

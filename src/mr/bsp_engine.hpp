@@ -6,8 +6,8 @@
 //   1. local compute — every shard reads/writes only its own state and
 //      stages messages for other shards in an Exchange. *Where* this phase
 //      runs is the Transport's business (mr/transport.hpp): LocalTransport
-//      uses one OpenMP thread per shard, ProcessTransport forks worker
-//      processes and ships the staged rows back over sockets;
+//      uses one OpenMP thread per shard, PoolTransport runs it in resident
+//      worker processes and ships the staged rows back over sockets;
 //   2. exchange      — the barrier: Exchange::seal() delivers all mailboxes
 //      in deterministic order and tallies the traffic;
 //   3. apply         — every shard, in parallel, folds its inbox into its
@@ -78,18 +78,13 @@ class BspEngine {
 
   [[nodiscard]] Transport& transport() const noexcept { return *transport_; }
 
-  /// True when compute callbacks run in a worker process: their writes to
-  /// coordinator state are lost, so algorithms must stage owned-state
-  /// effects via Exchange::loopback and counters via `shard_counters`.
+  /// True when compute callbacks run in a resident worker process: their
+  /// writes to coordinator state are lost, so algorithms must stage
+  /// owned-state effects via Exchange::loopback and counters via
+  /// `shard_counters`, and pass a StepInputCodec to superstep() so per-step
+  /// inputs travel by wire (bumping its epoch when resident state mutates).
   [[nodiscard]] bool remote_compute() const noexcept {
     return transport_->remote_compute();
-  }
-
-  /// True when workers stay resident across supersteps (PoolTransport):
-  /// algorithms should pass a StepInputCodec to superstep() so per-step
-  /// inputs travel by wire, and bump its epoch when resident state mutates.
-  [[nodiscard]] bool resident_compute() const noexcept {
-    return transport_->resident_workers();
   }
 
   /// Supersteps executed so far (each is one synchronous round).
@@ -107,8 +102,8 @@ class BspEngine {
   /// shard s's compute) travels with the messages under a remote transport,
   /// so per-shard compute tallies survive the process boundary.
   /// `input` (optional) is the resident-worker codec: under PoolTransport
-  /// it ships per-superstep inputs to the frozen workers; other transports
-  /// ignore it entirely.
+  /// it ships per-superstep inputs to the frozen workers; LocalTransport
+  /// ignores it entirely.
   template <typename Msg, typename ComputeFn, typename ApplyFn>
   ExchangeCounters superstep(Exchange<Msg>& ex, ComputeFn&& compute,
                              ApplyFn&& apply, RoundStats* stats = nullptr,

@@ -47,7 +47,7 @@ struct RoundStats {
   std::uint64_t cross_node_messages = 0;
   std::uint64_t cross_node_bytes = 0;
   /// Records and bytes that genuinely crossed a *process* boundary — filled
-  /// only when a remote transport (mr/transport.hpp, ProcessTransport) ran
+  /// only when the remote transport (mr/transport.hpp, PoolTransport) ran
   /// the compute phases; always 0 under LocalTransport, where an exchange is
   /// a memory move. Unlike the cross counters these are transport-dependent
   /// by design (they include the loopback stand-ins for owned-state writes

@@ -13,33 +13,33 @@
 //   deterministic delivery order, traffic tallying, the apply phase — is
 //   transport-invariant, which is what makes the backends bit-identical.
 //
-// Three implementations:
+// Two implementations:
 //
-//   * LocalTransport — today's path: one OpenMP thread per shard, staging
-//     rows are already in the coordinator's memory, nothing is serialized.
-//     wire counters stay 0 (a "message" is a cache-line write).
+//   * LocalTransport — one OpenMP thread per shard, staging rows are already
+//     in the coordinator's memory, nothing is serialized. wire counters stay
+//     0 (a "message" is a cache-line write).
 //
-//   * ProcessTransport — each superstep forks one worker per process group
-//     (Launcher maps K shards onto P workers in contiguous, ceil-balanced
-//     groups), runs the group's shard computes in the child, and ships the
+//   * PoolTransport — the remote transport: one worker process per process
+//     group (Launcher maps K shards onto P workers in contiguous,
+//     ceil-balanced groups) runs the group's shard computes and ships the
 //     staged rows + user counters back over an AF_UNIX stream socketpair.
 //     The fork gives every worker a copy-on-write snapshot of the
-//     coordinator's entire state at superstep start — the OS-enforced
-//     version of the BSP contract that compute reads only step-start state.
-//     Because the child's writes are invisible to the coordinator, compute
-//     must route *all* of its effects through the exchange: under
-//     remote_compute() the algorithms replace their direct owned-state
-//     writes with Exchange::loopback() records and their direct counter
-//     writes with the plan's shard_counters slots. Bytes read back from the
-//     workers are the genuinely-crossed `wire_bytes` that feed RoundStats.
+//     coordinator's entire state — the OS-enforced version of the BSP
+//     contract that compute reads only step-start state. Because the
+//     child's writes are invisible to the coordinator, compute must route
+//     *all* of its effects through the exchange: under remote_compute() the
+//     algorithms replace their direct owned-state writes with
+//     Exchange::loopback() records and their direct counter writes with the
+//     plan's shard_counters slots. Bytes crossing the workers' sockets are
+//     the genuinely-crossed `wire_bytes` that feed RoundStats.
 //
-//   * PoolTransport — resident workers: forks each group's worker ONCE (at
-//     the first superstep, so the fork snapshot carries the resident
-//     layout: partition slice, cached presplits, the algorithm's scratch)
-//     and keeps it alive across supersteps — and across runs, for an
-//     engine pooled in a warm exec::Context — on a persistent socketpair.
-//     The coordinator's state keeps evolving after the fork, so the
-//     worker's snapshot goes stale, with two matching mechanisms:
+//     Workers are resident: each group's worker is forked ONCE (at the first
+//     superstep, so the fork snapshot carries the resident layout:
+//     partition slice, cached presplits, the algorithm's scratch) and kept
+//     alive across supersteps — and across runs, for an engine pooled in a
+//     warm exec::Context — on a persistent socketpair. The coordinator's
+//     state keeps evolving after the fork, so the worker's snapshot goes
+//     stale, with two matching mechanisms:
 //
 //       - state that changes between supersteps (the active senders, the
 //         light threshold, the nodes blocked since the last step) → the
@@ -58,7 +58,7 @@
 //     multi-threaded region in the child would wait forever.
 //
 //     A plan without an input codec degrades safely: the pool respawns the
-//     workers every superstep, which is exactly ProcessTransport semantics.
+//     workers every superstep, so each step's fork snapshot is current.
 //     Worker crashes are survivable for the same reason residency is
 //     correct at all: under the remote-compute contract a superstep's rows
 //     are a pure function of (resident layout, shipped inputs), so the
@@ -77,6 +77,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -88,7 +89,7 @@
 
 namespace gdiam::mr {
 
-enum class TransportKind { kLocal, kProcess, kPool };
+enum class TransportKind { kLocal, kPool };
 
 /// What a transport throws when a superstep cannot be completed remotely
 /// (spawn failure, restart budget exhausted, a worker that fails
@@ -103,7 +104,7 @@ class TransportError : public std::runtime_error {
 };
 
 /// Transport selection knobs, carried by exec::ExecOptions so one assignment
-/// configures a whole pipeline (`--transport process --processes P` in the
+/// configures a whole pipeline (`--transport pool --processes P` in the
 /// CLI). `processes` is clamped to the shard count by the Launcher.
 struct TransportOptions {
   TransportKind kind = TransportKind::kLocal;
@@ -113,10 +114,22 @@ struct TransportOptions {
                          const TransportOptions&) = default;
 };
 
+/// The one reading of the user-facing transport fields, shared by the CLI
+/// (`--transport` / `--processes`) and the daemon (`transport=` /
+/// `processes=`). `kind` is "" (unset), "local" or "pool"; a process count
+/// alone selects the pool (default 2 workers when only the kind is given).
+/// The pool only exists behind the BSP engine, so it needs
+/// `num_partitions > 1`. Throws std::invalid_argument on anything else —
+/// an unknown or removed kind ("process"), `processes` of 0, or `processes`
+/// alongside `local`.
+[[nodiscard]] TransportOptions parse_transport_options(
+    const std::string& kind, std::optional<std::uint32_t> processes,
+    std::uint32_t num_partitions);
+
 /// What one run_compute actually put on a process boundary: 0/0 for
-/// LocalTransport; for ProcessTransport every staged record (including
-/// loopback stand-ins for owned-state writes) and every byte read back from
-/// the workers' sockets (row payloads + framing + counters).
+/// LocalTransport; for PoolTransport every staged record (including
+/// loopback stand-ins for owned-state writes) and every byte that crossed
+/// the workers' sockets (shipped inputs, row payloads, framing, counters).
 struct TransportStats {
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
@@ -212,7 +225,7 @@ class Transport {
     /// fold into RoundStats::messages).
     std::span<std::uint64_t> shard_counters;
 
-    // --- resident-worker extensions (PoolTransport; others ignore them) ---
+    // --- resident-worker extensions (LocalTransport ignores them) ---
 
     /// Coordinator side: serializes shard `s`'s per-superstep input (the
     /// state compute reads that changes between supersteps — frontier
@@ -236,18 +249,13 @@ class Transport {
 
   virtual ~Transport() = default;
 
-  /// True when compute callbacks run in another address space, so their
+  /// True when compute callbacks run in resident worker processes, so their
   /// writes to coordinator state are lost: algorithms must route owned-state
-  /// effects through Exchange::loopback and counters through shard_counters.
+  /// effects through Exchange::loopback and counters through shard_counters,
+  /// supply the plan's input codec so per-superstep state is shipped instead
+  /// of re-snapshotted, and bump resident_epoch only when a worker snapshot
+  /// could lack what compute reads.
   [[nodiscard]] virtual bool remote_compute() const noexcept = 0;
-
-  /// True when workers stay resident across supersteps (PoolTransport):
-  /// algorithms should supply the plan's input codec so per-superstep state
-  /// is shipped instead of re-snapshotted, and bump resident_epoch only when
-  /// a worker snapshot could lack what compute reads.
-  [[nodiscard]] virtual bool resident_workers() const noexcept {
-    return false;
-  }
 
   /// Worker processes compute fans out over (1 for LocalTransport).
   [[nodiscard]] virtual std::uint32_t processes() const noexcept = 0;
@@ -277,25 +285,6 @@ class LocalTransport final : public Transport {
   PlacementPlan plan_;
 };
 
-/// Multi-process transport: forks one worker per Launcher group each
-/// superstep and collects the groups' rows over AF_UNIX socketpairs. See the
-/// header comment for the COW-snapshot semantics and DESIGN.md §9 for the
-/// wire format.
-class ProcessTransport final : public Transport {
- public:
-  explicit ProcessTransport(Launcher launcher) : launcher_(launcher) {}
-
-  [[nodiscard]] bool remote_compute() const noexcept override { return true; }
-  [[nodiscard]] std::uint32_t processes() const noexcept override {
-    return launcher_.processes();
-  }
-  [[nodiscard]] const Launcher& launcher() const noexcept { return launcher_; }
-  TransportStats run_compute(const SuperstepPlan& plan) override;
-
- private:
-  Launcher launcher_;
-};
-
 /// Resident-worker transport: one long-lived worker per Launcher group,
 /// forked at the first superstep of a run and kept on a persistent AF_UNIX
 /// socketpair. See the header comment for the staleness model (shipped
@@ -323,9 +312,6 @@ class PoolTransport final : public Transport {
   PoolTransport& operator=(const PoolTransport&) = delete;
 
   [[nodiscard]] bool remote_compute() const noexcept override { return true; }
-  [[nodiscard]] bool resident_workers() const noexcept override {
-    return true;
-  }
   [[nodiscard]] std::uint32_t processes() const noexcept override {
     return launcher_.processes();
   }

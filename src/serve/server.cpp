@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -66,8 +67,8 @@ bool field_bool(const Message& m, const std::string& key, bool fallback) {
 }
 
 /// The shared execution fields, with the CLI's exact semantics and
-/// defaults: partitions (1), range-partition (hash), transport
-/// local|process|pool (processes=N alone implies process), algorithm
+/// defaults: partitions (1), range-partition (hash), transport local|pool
+/// (mr::parse_transport_options; processes=N alone implies pool), algorithm
 /// delta|rho (delta). The removed frontier switches are refused rather than
 /// ignored, so a client still sending them learns they no longer apply.
 void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
@@ -85,23 +86,10 @@ void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
   opt.partition.strategy = field_bool(m, "range-partition", false)
                                ? mr::PartitionStrategy::kRange
                                : mr::PartitionStrategy::kHash;
-  const std::string kind = m.get("transport");
-  if (!kind.empty() && kind != "local" && kind != "process" &&
-      kind != "pool") {
-    throw std::invalid_argument("transport must be local, process or pool");
-  }
-  if (kind == "process" || kind == "pool" || (kind.empty() && m.has("processes"))) {
-    opt.transport.kind = kind == "pool" ? mr::TransportKind::kPool
-                                        : mr::TransportKind::kProcess;
-    opt.transport.processes = field_u32(m, "processes", 2);
-    if (opt.transport.processes == 0) {
-      throw std::invalid_argument("processes must be >= 1");
-    }
-    if (opt.partition.num_partitions <= 1) {
-      throw std::invalid_argument(
-          "transport=process/pool requires partitions > 1");
-    }
-  }
+  std::optional<std::uint32_t> processes;
+  if (m.has("processes")) processes = field_u32(m, "processes", 2);
+  opt.transport = mr::parse_transport_options(
+      m.get("transport"), processes, opt.partition.num_partitions);
   const std::string algo = m.get("algorithm");
   if (!algo.empty() && algo != "delta" && algo != "rho") {
     throw std::invalid_argument("algorithm must be delta or rho");

@@ -93,7 +93,7 @@ struct ServerOptions {
   bool degrade_to_local = true;
 };
 
-/// Monotonic serving counters (the `stats` verb and BENCH_serving).
+/// Monotonic serving counters (the `stats` verb).
 struct ServerStats {
   std::atomic<std::uint64_t> connections{0};
   std::atomic<std::uint64_t> requests{0};   // enqueued query requests

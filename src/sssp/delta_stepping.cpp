@@ -171,18 +171,16 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   // Under a remote transport a shard's compute runs in a forked worker whose
   // writes to dist_bits (and every other coordinator array) are lost: owned
   // lowerings are staged as loopback records and replayed — in the identical
-  // order — by the apply phase (DESIGN.md §9).
+  // order — by the apply phase (DESIGN.md §9). The workers are forked once
+  // and keep the closures below frozen; the per-phase inputs they need — the
+  // frontier pairs routed to their shards and the phase's edge class — are
+  // shipped through the StepInputCodec into stable RoundBuffers storage
+  // instead. Everything else compute reads (partition slice, presplit
+  // layout, Δ) is fixed for the whole run, so the fork-time snapshot stays
+  // valid and the codec epoch is constant.
   const bool remote = bsp != nullptr && bsp->remote_compute();
-  // Resident workers (PoolTransport) are forked once and keep the closures
-  // below frozen; the per-phase inputs they need — the frontier pairs routed
-  // to their shards and the phase's edge class — are shipped through the
-  // StepInputCodec into stable RoundBuffers storage instead. Everything else
-  // compute reads (partition slice, presplit layout, Δ) is fixed for the
-  // whole run, so the fork-time snapshot stays valid and the codec epoch is
-  // constant.
-  const bool resident = bsp != nullptr && bsp->resident_compute();
   mr::StepInputCodec pool_codec;
-  if (resident) {
+  if (remote) {
     // Input frame, per shard: [u8 edge_kind][(NodeId, Weight) pairs...].
     pool_codec.encode = [&rb](mr::ShardId s, std::vector<std::byte>& buf) {
       buf.push_back(static_cast<std::byte>(rb.pool_kind));
@@ -320,7 +318,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     };
     bsp->superstep(rb.exchange, compute, apply, &out.stats,
                    std::span<std::uint64_t>(rb.shard_messages.data(), k),
-                   resident ? &pool_codec : nullptr);
+                   remote ? &pool_codec : nullptr);
 
     for (std::uint32_t s = 0; s < k; ++s) {
       out.stats.messages += rb.shard_messages[s];

@@ -20,9 +20,9 @@
 // applied locally, cross-shard ones travel through the typed exchange, and
 // the stats additionally report the cross-partition messages/bytes a real
 // MR shuffle would pay. Distances are identical to the flat kernel (same
-// min-reduction fixpoint per phase). With transport.kind == kProcess
+// min-reduction fixpoint per phase). With transport.kind == kPool
 // (mr/transport.hpp) the supersteps' compute phases additionally fan out
-// over forked worker processes — still bit-identical, with the genuinely-
+// over resident worker processes — still bit-identical, with the genuinely-
 // crossed wire bytes reported on top (DESIGN.md §9).
 //
 // Frontier maintenance (improved-node sets, settled-set dedup, bucket and
@@ -139,7 +139,7 @@ struct DeltaSteppingResult {
   /// Shards the run executed on (1 = flat shared-memory kernel).
   std::uint32_t partitions_used = 1;
   /// Worker processes the BSP compute phases fanned out over (1 = in-process
-  /// LocalTransport; >1 only under TransportKind::kProcess).
+  /// LocalTransport; >1 only under TransportKind::kPool).
   std::uint32_t processes_used = 1;
 };
 

@@ -102,9 +102,8 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
     out.processes_used = transport->processes();
   }
   const bool remote = bsp != nullptr && bsp->remote_compute();
-  const bool resident = bsp != nullptr && bsp->resident_compute();
   mr::StepInputCodec pool_codec;
-  if (resident) {
+  if (remote) {
     // Input frame, per shard: [u8 pad][(NodeId, Weight) pairs...]. ρ-stepping
     // has no edge-class byte (it always relaxes a node's full adjacency), but
     // the pad keeps the frame nonempty even for an empty batch: the pool
@@ -209,7 +208,7 @@ DeltaSteppingResult rho_stepping(const Graph& g, NodeId source,
     };
     bsp->superstep(rb.exchange, compute, apply, &out.stats,
                    std::span<std::uint64_t>(rb.shard_messages.data(), k),
-                   resident ? &pool_codec : nullptr);
+                   remote ? &pool_codec : nullptr);
 
     for (std::uint32_t s = 0; s < k; ++s) {
       out.stats.messages += rb.shard_messages[s];

@@ -1,5 +1,5 @@
 #pragma once
-// Shared low-level socket/process plumbing for the multi-process transports
+// Shared low-level socket/process plumbing for the pool transport
 // (mr/transport.cpp) and the serving daemon (serve/, tools/gdiamd.cpp).
 //
 // Everything here deals with the three failure modes that plague naive
@@ -16,8 +16,8 @@
 //     a wedged worker.
 //
 // The helpers are deliberately exception-free at the I/O layer (bool/EOF
-// returns); callers own the error story (ProcessTransport turns failures
-// into one root-cause error, PoolTransport into a worker restart).
+// returns); callers own the error story (PoolTransport turns a torn frame
+// into a worker restart, the daemon into a dropped connection).
 //
 // write_all and read_exact carry the "net.send" / "net.recv" fault points
 // (util/fault.hpp, DESIGN.md §12): an armed schedule can fail them with an
@@ -50,10 +50,6 @@ bool write_all_timeout(int fd, const void* data, std::size_t len,
 /// Reads exactly `len` bytes into `data`. Returns false on EOF or error
 /// (errno == 0 distinguishes clean EOF from a real error).
 bool read_exact(int fd, void* data, std::size_t len) noexcept;
-
-/// Reads the descriptor to EOF (the peer closes its end after the last
-/// frame). Throws std::runtime_error on a read error.
-std::vector<std::byte> read_to_eof(int fd);
 
 /// u64 framing used by every gdiam wire format (host order; all peers are
 /// forks or same-host daemon clients).

@@ -22,6 +22,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,8 @@
 #include "core/cluster.hpp"
 #include "core/growing.hpp"
 #include "exec/context.hpp"
+#include "mr/bsp_engine.hpp"
+#include "mr/exchange.hpp"
 #include "mr/partition.hpp"
 #include "mr/transport.hpp"
 #include "serve/protocol.hpp"
@@ -484,12 +488,37 @@ TEST(TransportChaos, PoolSpawnFailureIsATypedTransportError) {
       mr::TransportError);
 }
 
-TEST(TransportChaos, ProcessWorkerFaultIsATypedTransportError) {
-  const Graph g = test::make_family(Family::kGnmUniform, 120, 13);
-  const ScopedFaults f("proc.worker=errno@1");  // each fork counts its own
-  EXPECT_THROW(
-      run_growth(g, {.kind = mr::TransportKind::kProcess, .processes = 2}),
-      mr::TransportError);
+// A compute that throws inside a pool worker is a deterministic failure:
+// the worker reports it with a status frame instead of dying, so the
+// superstep surfaces as one TransportError naming the cause — and the pool
+// spends none of its replay budget re-running a step that always throws.
+TEST(TransportChaos, PoolWorkerComputeThrowIsATypedTransportError) {
+  const Graph g = gen::path(40);
+  const mr::Partition part(g, {.num_partitions = 4,
+                               .strategy = mr::PartitionStrategy::kRange});
+  const std::uint32_t k = part.num_partitions();
+  mr::PoolTransport pool((mr::Launcher(k, 2)));
+  mr::BspEngine engine(part, &pool);
+  mr::Exchange<std::uint64_t> ex(k);
+  const pid_t coordinator = ::getpid();
+  std::string what;
+  try {
+    engine.superstep(
+        ex,
+        [&](const mr::Shard& sh, mr::Exchange<std::uint64_t>& out) {
+          if (::getpid() != coordinator) {
+            throw std::runtime_error("compute failed");
+          }
+          out.send(sh.id, sh.id, 1);
+        },
+        [](const mr::Shard&, std::span<const std::uint64_t>) {});
+  } catch (const mr::TransportError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("compute threw in pool worker"), std::string::npos)
+      << what;
+  EXPECT_EQ(pool.restarts(), 0u);  // no replay budget spent
+  EXPECT_EQ(pool.spawns(), 2u);    // one spawn wave, never respawned
 }
 
 // ---------------------------------------------------------------------------

@@ -408,6 +408,40 @@ TEST(Server, RemovedFrontierFieldsAreBadRequests) {
   server.stop();
 }
 
+TEST(Server, RemovedTransportProcessIsBadRequest) {
+  // transport=process selected the fork-per-superstep transport, which no
+  // longer exists; processes= alongside transport=local is a contradiction
+  // the CLI always refused. Both are refused here too (one shared parser,
+  // mr::parse_transport_options), never served with a field ignored.
+  ServerOptions sopts;
+  sopts.socket_path = test_socket("removed_transport");
+  Server server(sopts);
+  server.start();
+  struct Case {
+    const char* transport;
+    const char* processes;  // nullptr: field absent
+    const char* expect;     // substring of the error message
+  };
+  for (const char* verb : {"estimate", "sssp"}) {
+    for (const Case& c : {Case{"process", nullptr, "removed"},
+                          Case{"process", "2", "removed"},
+                          Case{"local", "2", "conflict"}}) {
+      Message req;
+      req.head = verb;
+      req.set("graph", "gen:path:nodes=10");
+      req.set("partitions", "4");
+      req.set("transport", c.transport);
+      if (c.processes != nullptr) req.set("processes", c.processes);
+      const Message resp = roundtrip(sopts.socket_path, req, false);
+      EXPECT_EQ(resp.head, "error") << verb << " " << c.transport;
+      EXPECT_EQ(resp.get("code"), kErrBadRequest) << verb << " " << c.transport;
+      EXPECT_NE(resp.get("message").find(c.expect), std::string::npos)
+          << resp.get("message");
+    }
+  }
+  server.stop();
+}
+
 TEST(Server, StatsAndShutdownVerbs) {
   ServerOptions sopts;
   sopts.socket_path = test_socket("stats");

@@ -1,16 +1,17 @@
 // Tests for the pluggable BSP transport (mr/transport.hpp, DESIGN.md §9):
-// the Launcher's shard→process mapping, the Exchange's loopback channel and
-// row (de)serialization, ProcessTransport superstep semantics, and — the
-// load-bearing part — bit-identical parity of the whole partitioned stack
-// (Δ-stepping distances, CLUSTER labels, CL-DIAM estimates, every
-// model-level RoundStats counter) between LocalTransport, ProcessTransport
+// the Launcher's shard→process mapping, the one parser of the user-facing
+// transport fields, the Exchange's loopback channel and row
+// (de)serialization, and — the load-bearing part — bit-identical parity of
+// the whole partitioned stack (Δ-stepping distances, CLUSTER labels, CL-DIAM
+// estimates, every model-level RoundStats counter) between LocalTransport
 // and the resident-worker PoolTransport for every graph family, K ∈ {2, 4}
-// and P ∈ {1, 2}, with the wire counters nonzero exactly under the remote
-// transports. The pool additionally pins its lifecycle contract: one spawn
-// wave per resident epoch, per-superstep inputs crossing the socket, a
-// SIGKILLed worker restarted mid-run with bit-identical results, workers
-// that stay resident across whole warm CLUSTER/CLUSTER2 runs (PoolResidency)
-// and a worker compute that may enter an OpenMP region without hanging.
+// and P ∈ {1, 2}, with the wire counters nonzero exactly under the pool.
+// The pool additionally pins its lifecycle contract: one spawn wave per
+// resident epoch (per superstep without an input codec), per-superstep
+// inputs and shard counters crossing the socket, a SIGKILLed worker
+// restarted mid-run with bit-identical results, workers that stay resident
+// across whole warm CLUSTER/CLUSTER2 runs (PoolResidency) and a worker
+// compute that may enter an OpenMP region without hanging.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +24,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -45,10 +49,6 @@ namespace gdiam::mr {
 namespace {
 
 using test::Family;
-
-TransportOptions process_opts(std::uint32_t p) {
-  return {.kind = TransportKind::kProcess, .processes = p};
-}
 
 TransportOptions pool_opts(std::uint32_t p) {
   return {.kind = TransportKind::kPool, .processes = p};
@@ -100,14 +100,60 @@ TEST(Launcher, MakeTransportSelectsKind) {
   const auto local = Launcher::make_transport({}, 4);
   EXPECT_FALSE(local->remote_compute());
   EXPECT_EQ(local->processes(), 1u);
-  const auto proc = Launcher::make_transport(process_opts(2), 4);
-  EXPECT_TRUE(proc->remote_compute());
-  EXPECT_FALSE(proc->resident_workers());
-  EXPECT_EQ(proc->processes(), 2u);
   const auto pool = Launcher::make_transport(pool_opts(2), 4);
   EXPECT_TRUE(pool->remote_compute());
-  EXPECT_TRUE(pool->resident_workers());
+  EXPECT_NE(dynamic_cast<PoolTransport*>(pool.get()), nullptr);
   EXPECT_EQ(pool->processes(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// parse_transport_options: the transport vocabulary the CLI and the daemon
+// share, so the two front ends cannot drift apart again.
+
+TEST(ParseTransportOptions, AcceptsTheVocabulary) {
+  const TransportOptions local{};
+  EXPECT_EQ(parse_transport_options("", std::nullopt, 4), local);
+  EXPECT_EQ(parse_transport_options("", std::nullopt, 1), local);
+  EXPECT_EQ(parse_transport_options("local", std::nullopt, 4), local);
+  EXPECT_EQ(parse_transport_options("local", std::nullopt, 1), local);
+  EXPECT_EQ(parse_transport_options("pool", std::nullopt, 4), pool_opts(2));
+  EXPECT_EQ(parse_transport_options("pool", 3u, 4), pool_opts(3));
+  // A process count alone selects the pool.
+  EXPECT_EQ(parse_transport_options("", 3u, 4), pool_opts(3));
+  EXPECT_EQ(parse_transport_options("", 1u, 2), pool_opts(1));
+}
+
+TEST(ParseTransportOptions, RejectsEverythingElse) {
+  auto message = [](const std::string& kind,
+                    std::optional<std::uint32_t> processes,
+                    std::uint32_t partitions) -> std::string {
+    try {
+      (void)parse_transport_options(kind, processes, partitions);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  // The fork-per-superstep transport is gone, and says so.
+  EXPECT_NE(message("process", std::nullopt, 4).find("removed"),
+            std::string::npos);
+  EXPECT_NE(message("process", 2u, 4).find("removed"), std::string::npos);
+  EXPECT_NE(message("mpi", std::nullopt, 4).find("local or pool"),
+            std::string::npos);
+  EXPECT_NE(message("Pool", std::nullopt, 4), "accepted");
+  EXPECT_NE(message("", 0u, 4).find("processes must be >= 1"),
+            std::string::npos);
+  EXPECT_NE(message("pool", 0u, 4).find("processes must be >= 1"),
+            std::string::npos);
+  // The pool only exists behind the BSP engine.
+  for (const std::uint32_t partitions : {0u, 1u}) {
+    EXPECT_NE(message("pool", std::nullopt, partitions).find("partitions > 1"),
+              std::string::npos);
+    EXPECT_NE(message("", 2u, partitions).find("partitions > 1"),
+              std::string::npos);
+  }
+  EXPECT_NE(message("local", 2u, 4).find("conflict"), std::string::npos);
+  EXPECT_NE(message("local", 1u, 4).find("conflict"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,77 +216,6 @@ TEST(Exchange, DecodeRejectsMalformedRow) {
   EXPECT_THROW(ex.decode_row(0, row.data(), row.size()),
                std::invalid_argument);
 }
-
-// ---------------------------------------------------------------------------
-// ProcessTransport superstep semantics
-
-class ProcessSuperstep : public testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ProcessSuperstep, MatchesLocalInboxesAndShipsCounters) {
-  const std::uint32_t procs = GetParam();
-  const Graph g = gen::path(40);
-  const Partition part(
-      g, {.num_partitions = 4, .strategy = PartitionStrategy::kRange});
-  const std::uint32_t k = part.num_partitions();
-
-  // Ring ping + one loopback per shard; shard s also reports a counter.
-  auto compute_into = [&](const Shard& sh, Exchange<std::uint32_t>& ex,
-                          std::span<std::uint64_t> counters) {
-    ex.loopback(sh.id, 1000 + sh.id);
-    ex.send(sh.id, (sh.id + 1) % k, sh.id);
-    counters[sh.id] = 77 + sh.id;
-  };
-  auto run = [&](Transport& transport, std::vector<std::uint64_t>& counters,
-                 RoundStats& stats) {
-    BspEngine engine(part, &transport);
-    Exchange<std::uint32_t> ex(k);
-    std::vector<std::vector<std::uint32_t>> inboxes(k);
-    const ExchangeCounters c = engine.superstep(
-        ex,
-        [&](const Shard& sh, Exchange<std::uint32_t>& out) {
-          compute_into(sh, out, counters);
-        },
-        [&](const Shard& sh, std::span<const std::uint32_t> inbox) {
-          inboxes[sh.id].assign(inbox.begin(), inbox.end());
-        },
-        &stats, counters);
-    // Loopback first, then the routed ring message.
-    for (ShardId s = 0; s < k; ++s) {
-      EXPECT_EQ(inboxes[s].size(), 2u);
-      if (inboxes[s].size() == 2u) {
-        EXPECT_EQ(inboxes[s][0], 1000 + s);
-        EXPECT_EQ(inboxes[s][1], (s + k - 1) % k);
-      }
-    }
-    return c;
-  };
-
-  LocalTransport local;
-  std::vector<std::uint64_t> local_counters(k, 0);
-  RoundStats local_stats;
-  const ExchangeCounters lc = run(local, local_counters, local_stats);
-
-  ProcessTransport proc(Launcher(k, procs));
-  std::vector<std::uint64_t> proc_counters(k, 0);
-  RoundStats proc_stats;
-  const ExchangeCounters pc = run(proc, proc_counters, proc_stats);
-
-  EXPECT_EQ(proc_counters, local_counters);  // counters crossed the socket
-  EXPECT_EQ(zero_wire(proc_stats), zero_wire(local_stats));
-  EXPECT_EQ(pc.messages, lc.messages);
-  EXPECT_EQ(pc.cross_messages, lc.cross_messages);
-  EXPECT_EQ(lc.wire_bytes, 0u);
-  // Every staged record (k loopbacks + k ring messages) crossed a socket.
-  EXPECT_EQ(pc.wire_messages, 2u * k);
-  EXPECT_GT(pc.wire_bytes, 0u);
-  EXPECT_EQ(proc_stats.wire_bytes, pc.wire_bytes);
-}
-
-INSTANTIATE_TEST_SUITE_P(Processes, ProcessSuperstep,
-                         testing::Values(1u, 2u, 4u),
-                         [](const auto& info) {
-                           return "p" + std::to_string(info.param);
-                         });
 
 // ---------------------------------------------------------------------------
 // PoolTransport superstep semantics: resident workers, shipped inputs
@@ -316,34 +291,82 @@ TEST(PoolSuperstep, ResidentWorkersReceivePerStepInputs) {
 }
 
 // A codec-less plan must still be correct under the pool: the transport
-// falls back to a respawn per superstep (ProcessTransport semantics).
+// falls back to a respawn per superstep, so every step forks from a current
+// snapshot. Each step's inboxes and shard counters (which cross the socket
+// alongside the rows) must match LocalTransport's, every staged record —
+// one loopback plus one ring message per shard — must cross a socket, and
+// the model-level stats must be transport-invariant.
 TEST(PoolSuperstep, NoCodecFallsBackToRespawnPerSuperstep) {
-  const Graph g = gen::path(24);
-  const Partition part(
-      g, {.num_partitions = 3, .strategy = PartitionStrategy::kRange});
-  const std::uint32_t k = part.num_partitions();
+  const Graph g = gen::path(40);
+  for (const auto& [shards, workers] :
+       {std::pair{3u, 3u}, std::pair{4u, 1u}, std::pair{4u, 2u},
+        std::pair{4u, 4u}}) {
+    const std::uint32_t k = shards;
+    const std::uint32_t procs = workers;
+    SCOPED_TRACE(testing::Message() << "k=" << k << " p=" << procs);
+    const Partition part(
+        g, {.num_partitions = k, .strategy = PartitionStrategy::kRange});
+    ASSERT_EQ(part.num_partitions(), k);
 
-  PoolTransport pool((Launcher(k, 3)));
-  BspEngine engine(part, &pool);
-  Exchange<std::uint64_t> ex(k);
-  std::uint64_t round = 0;
-  std::vector<std::vector<std::uint64_t>> inboxes(k);
-  for (round = 1; round <= 2; ++round) {
-    engine.superstep(
-        ex,
-        [&](const Shard& sh, Exchange<std::uint64_t>& out) {
-          out.send(sh.id, (sh.id + 1) % k, round * 10 + sh.id);
-        },
-        [&](const Shard& sh, std::span<const std::uint64_t> inbox) {
-          inboxes[sh.id].assign(inbox.begin(), inbox.end());
-        });
-    for (ShardId s = 0; s < k; ++s) {
-      ASSERT_EQ(inboxes[s].size(), 1u);
-      // Fresh fork each step, so `round` is current even without a codec.
-      EXPECT_EQ(inboxes[s][0], round * 10 + (s + k - 1) % k);
+    struct Step {
+      std::vector<std::vector<std::uint64_t>> inboxes;
+      std::vector<std::uint64_t> counters;
+      ExchangeCounters traffic;
+    };
+    auto run = [&](Transport& transport, RoundStats& stats) {
+      BspEngine engine(part, &transport);
+      Exchange<std::uint64_t> ex(k);
+      std::vector<Step> steps;
+      for (std::uint64_t round = 1; round <= 2; ++round) {
+        Step st{std::vector<std::vector<std::uint64_t>>(k),
+                std::vector<std::uint64_t>(k, 0), {}};
+        st.traffic = engine.superstep(
+            ex,
+            [&](const Shard& sh, Exchange<std::uint64_t>& out) {
+              out.loopback(sh.id, round * 1000 + sh.id);
+              out.send(sh.id, (sh.id + 1) % k, round * 10 + sh.id);
+              st.counters[sh.id] = round * 100 + sh.id;
+            },
+            [&](const Shard& sh, std::span<const std::uint64_t> inbox) {
+              st.inboxes[sh.id].assign(inbox.begin(), inbox.end());
+            },
+            &stats, st.counters);
+        steps.push_back(std::move(st));
+      }
+      return steps;
+    };
+
+    LocalTransport local;
+    RoundStats local_stats;
+    const std::vector<Step> want = run(local, local_stats);
+    PoolTransport pool((Launcher(k, procs)));
+    RoundStats pool_stats;
+    const std::vector<Step> got = run(pool, pool_stats);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const std::uint64_t round = i + 1;
+      for (ShardId s = 0; s < k; ++s) {
+        // Loopback first, then the routed ring message — both from THIS
+        // round, although no codec shipped it: the worker forked afresh.
+        EXPECT_EQ(want[i].inboxes[s],
+                  (std::vector<std::uint64_t>{round * 1000 + s,
+                                              round * 10 + (s + k - 1) % k}));
+      }
+      EXPECT_EQ(got[i].inboxes, want[i].inboxes) << "round " << round;
+      EXPECT_EQ(got[i].counters, want[i].counters);  // crossed the socket
+      EXPECT_EQ(got[i].traffic.messages, want[i].traffic.messages);
+      EXPECT_EQ(got[i].traffic.cross_messages, want[i].traffic.cross_messages);
+      EXPECT_EQ(want[i].traffic.wire_bytes, 0u);
+      EXPECT_EQ(got[i].traffic.wire_messages, 2u * k);
+      EXPECT_GT(got[i].traffic.wire_bytes, 0u);
     }
+    EXPECT_EQ(zero_wire(pool_stats), zero_wire(local_stats));
+    EXPECT_EQ(pool_stats.wire_bytes,
+              got[0].traffic.wire_bytes + got[1].traffic.wire_bytes);
+    EXPECT_EQ(pool.spawns(), 2u * procs);  // one spawn wave per superstep
+    EXPECT_EQ(pool.restarts(), 0u);
   }
-  EXPECT_EQ(pool.spawns(), 2u * k);  // one wave per superstep
 }
 
 // A forked worker inherits libgomp's thread pool state but none of its
@@ -398,7 +421,7 @@ TEST(PoolSuperstep, WorkerComputeMayEnterOpenMpRegion) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-stack parity: LocalTransport vs ProcessTransport
+// Whole-stack parity: LocalTransport vs PoolTransport
 
 class TransportParity
     : public testing::TestWithParam<
@@ -412,18 +435,8 @@ TEST_P(TransportParity, DeltaSteppingBitIdentical) {
   opts.partition.num_partitions = k;
   const sssp::DeltaSteppingResult local = sssp::delta_stepping(g, 0, opts);
 
-  opts.transport = process_opts(p);
-  const sssp::DeltaSteppingResult proc = sssp::delta_stepping(g, 0, opts);
-
-  EXPECT_EQ(proc.dist, local.dist);
-  EXPECT_EQ(proc.eccentricity, local.eccentricity);
-  EXPECT_EQ(proc.farthest, local.farthest);
-  EXPECT_EQ(proc.buckets_processed, local.buckets_processed);
-  EXPECT_EQ(zero_wire(proc.stats), zero_wire(local.stats));
   EXPECT_EQ(local.stats.wire_bytes, 0u);
   EXPECT_EQ(local.processes_used, 1u);
-  EXPECT_EQ(proc.processes_used, p);
-  EXPECT_GT(proc.stats.wire_bytes, 0u);  // compute genuinely ran elsewhere
 
   opts.transport = pool_opts(p);
   const sssp::DeltaSteppingResult pool = sssp::delta_stepping(g, 0, opts);
@@ -433,14 +446,13 @@ TEST_P(TransportParity, DeltaSteppingBitIdentical) {
   EXPECT_EQ(pool.buckets_processed, local.buckets_processed);
   EXPECT_EQ(zero_wire(pool.stats), zero_wire(local.stats));
   EXPECT_EQ(pool.processes_used, p);
-  EXPECT_GT(pool.stats.wire_bytes, 0u);
+  EXPECT_GT(pool.stats.wire_bytes, 0u);  // compute genuinely ran elsewhere
 }
 
 TEST_P(TransportParity, RhoSteppingBitIdentical) {
   // Same contract as the Δ kernel: the ρ-stepping threshold sample is a pure
   // function of the frontier set, so distances AND every model counter are
-  // transport-invariant, with wire traffic nonzero exactly under the remote
-  // transports.
+  // transport-invariant, with wire traffic nonzero exactly under the pool.
   const auto [family, k, p] = GetParam();
   const Graph g = test::make_family(family, 150, 42);
 
@@ -451,18 +463,8 @@ TEST_P(TransportParity, RhoSteppingBitIdentical) {
   const sssp::DeltaSteppingResult local = sssp::rho_stepping(g, 0, opts);
   EXPECT_EQ(local.algorithm_used, exec::Algorithm::kRhoStepping);
 
-  opts.transport = process_opts(p);
-  const sssp::DeltaSteppingResult proc = sssp::rho_stepping(g, 0, opts);
-
-  EXPECT_EQ(proc.dist, local.dist);
-  EXPECT_EQ(proc.eccentricity, local.eccentricity);
-  EXPECT_EQ(proc.farthest, local.farthest);
-  EXPECT_EQ(proc.buckets_processed, local.buckets_processed);
-  EXPECT_EQ(zero_wire(proc.stats), zero_wire(local.stats));
   EXPECT_EQ(local.stats.wire_bytes, 0u);
   EXPECT_EQ(local.processes_used, 1u);
-  EXPECT_EQ(proc.processes_used, p);
-  EXPECT_GT(proc.stats.wire_bytes, 0u);
 
   opts.transport = pool_opts(p);
   const sssp::DeltaSteppingResult pool = sssp::rho_stepping(g, 0, opts);
@@ -488,16 +490,7 @@ TEST_P(TransportParity, ClusterLabelsAndStatsBitIdentical) {
   opts.partition.num_partitions = k;
   const core::Clustering local = core::cluster(g, opts);
 
-  opts.transport = process_opts(p);
-  const core::Clustering proc = core::cluster(g, opts);
-
-  EXPECT_EQ(proc.center_of, local.center_of);
-  EXPECT_EQ(proc.dist_to_center, local.dist_to_center);
-  EXPECT_EQ(proc.centers, local.centers);
-  EXPECT_EQ(proc.radius, local.radius);
-  EXPECT_EQ(zero_wire(proc.stats), zero_wire(local.stats));
   EXPECT_EQ(local.stats.wire_bytes, 0u);
-  EXPECT_GT(proc.stats.wire_bytes, 0u);
 
   opts.transport = pool_opts(p);
   const core::Clustering pool = core::cluster(g, opts);
@@ -534,7 +527,7 @@ TEST(TransportParity, MatchesSerialReference) {
   gp.uniform_budget = 3.0 * g.avg_weight();
 
   for (const TransportOptions& t :
-       {TransportOptions{}, process_opts(2), pool_opts(2)}) {
+       {TransportOptions{}, pool_opts(2)}) {
     SCOPED_TRACE(testing::Message() << "transport " << static_cast<int>(t.kind));
     sssp::DeltaSteppingOptions dopts;
     dopts.partition = popts;
@@ -560,8 +553,8 @@ TEST(TransportParity, MatchesSerialReference) {
   }
 }
 
-// The acceptance-criterion pipeline: CL-DIAM end to end, multi-process,
-// bit-identical estimate and decomposition, nonzero wire traffic reported.
+// CL-DIAM end to end on the pool: bit-identical estimate and
+// decomposition, nonzero wire traffic reported.
 TEST(TransportParity, DiameterPipelineBitIdentical) {
   for (const Family family : test::all_families()) {
     const Graph g = test::make_family(family, 120, 11);
@@ -573,17 +566,7 @@ TEST(TransportParity, DiameterPipelineBitIdentical) {
     opts.cluster.partition.num_partitions = 4;
     const core::DiameterApproxResult local = core::approximate_diameter(g, opts);
 
-    opts.cluster.transport = process_opts(2);
-    const core::DiameterApproxResult proc = core::approximate_diameter(g, opts);
-
-    EXPECT_EQ(proc.estimate, local.estimate) << test::family_name(family);
-    EXPECT_EQ(proc.estimate_classic, local.estimate_classic);
-    EXPECT_EQ(proc.quotient_diam, local.quotient_diam);
-    EXPECT_EQ(proc.radius, local.radius);
-    EXPECT_EQ(proc.clustering.center_of, local.clustering.center_of);
-    EXPECT_EQ(zero_wire(proc.stats), zero_wire(local.stats));
     EXPECT_EQ(local.stats.wire_bytes, 0u);
-    EXPECT_GT(proc.stats.wire_bytes, 0u) << test::family_name(family);
 
     opts.cluster.transport = pool_opts(2);
     const core::DiameterApproxResult pool = core::approximate_diameter(g, opts);

@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/hop.hpp"
@@ -40,14 +42,14 @@ commands:
   stats    FILE [--sweeps K]
   estimate FILE [--tau T] [--seed S] [--cluster2] [--classic] [--pull]
            [--partitions K] [--range-partition]
-           [--transport local|process|pool]
+           [--transport local|pool]
            [--processes P] [--placement none|round-robin|capacity]
            [--repeat N] [--reuse-context | --no-reuse-context]
   decompose FILE --out CLUSTERING.gdcl [--tau T] [--seed S]
             [--quotient QUOTIENT_GRAPH_FILE]
   sssp     FILE [--source U] [--algorithm delta|rho] [--delta D] [--rho N]
            [--partitions K] [--range-partition]
-           [--transport local|process|pool]
+           [--transport local|pool]
            [--processes P] [--placement none|round-robin|capacity]
            [--repeat N] [--reuse-context | --no-reuse-context]
   convert  IN OUT
@@ -61,13 +63,12 @@ trade rounds against work differently (DESIGN.md section 11).
 hash partitioner unless --range-partition) and reports the cross-partition
 communication volume alongside rounds and work.
 
---processes P (or --transport process) additionally fans each BSP superstep
-out over P forked worker processes exchanging messages over Unix-domain
-sockets: results are bit-identical to the in-process transport, and the cost
-line gains the genuinely-crossed wire=.../... traffic. Requires
---partitions K > 1. --transport pool keeps those P workers resident across
-supersteps (fork once, ship per-step inputs over persistent sockets) — the
-serving configuration gdiamd runs hot graphs on; results stay bit-identical.
+--processes P (or --transport pool, P = 2 by default) additionally fans each
+BSP superstep out over P forked worker processes that stay resident across
+supersteps (fork once, ship per-step inputs over persistent Unix-domain
+sockets) — the serving configuration gdiamd runs hot graphs on. Results are
+bit-identical to the in-process transport, and the cost line gains the
+genuinely-crossed wire=.../... traffic. Requires --partitions K > 1.
 
 --placement maps the K shards onto the machine's NUMA nodes (round-robin or
 capacity-balanced; DESIGN.md section 13): shard compute is pinned to its
@@ -138,30 +139,18 @@ mr::PartitionOptions parse_partition(const util::Options& o) {
   return p;
 }
 
-/// Shared --transport / --processes parsing (estimate and sssp). --processes
-/// alone implies the process transport; the multi-process backends only
-/// exist behind the BSP engine, so they require --partitions K > 1.
+/// Shared --transport / --processes parsing (estimate and sssp), with the
+/// daemon's exact rules (mr::parse_transport_options).
 mr::TransportOptions parse_transport(const util::Options& o,
                                      const mr::PartitionOptions& p) {
-  mr::TransportOptions t;
-  const std::string kind = o.get_string("transport", "");
-  if (!kind.empty() && kind != "local" && kind != "process" &&
-      kind != "pool") {
-    usage("--transport must be local, process or pool");
+  std::optional<std::uint32_t> processes;
+  if (o.has("processes")) processes = o.get_uint32("processes", 2);
+  try {
+    return mr::parse_transport_options(o.get_string("transport", ""),
+                                       processes, p.num_partitions);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
-  if (kind == "local" && o.has("processes")) {
-    usage("--transport local and --processes conflict");
-  }
-  if (kind == "process" || kind == "pool" || o.has("processes")) {
-    t.kind = kind == "pool" ? mr::TransportKind::kPool
-                            : mr::TransportKind::kProcess;
-    t.processes = o.get_uint32("processes", 2);
-    if (t.processes == 0) usage("--processes must be >= 1");
-    if (p.num_partitions <= 1) {
-      usage("--transport process/pool / --processes requires --partitions K > 1");
-    }
-  }
-  return t;
 }
 
 /// Shared --placement parsing (estimate and sssp). Placement only exists
