@@ -25,7 +25,6 @@
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/topology.hpp"
 
 namespace {
 
@@ -467,50 +466,6 @@ void BM_FaultCheckArmedMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultCheckArmedMiss)->Unit(benchmark::kNanosecond);
 
-// ---------------------------------------------------------------------------
-// NUMA shard-touch A/B (util/topology.hpp, DESIGN.md §13): a shard-sized
-// buffer is first-touched while bound to node 0, then streamed either under
-// the same binding (Local — what the placement plan arranges) or bound to
-// the highest node (Remote — the mismatch an unplaced shard risks). On a
-// single-node machine the two bindings coincide and the rows read equal;
-// that graceful degradation is itself part of the contract. On multi-socket
-// hardware the gap is the per-access cost numa placement exists to avoid.
-
-constexpr std::size_t kShardTouchDoubles = std::size_t{1} << 22;  // 32 MiB
-
-void shard_touch(benchmark::State& state, bool remote) {
-  const auto topo = util::topo::discover();
-  std::vector<double> shard;
-  {
-    util::topo::ScopedAffinity home(topo.cpus(0));
-    shard.assign(kShardTouchDoubles, 0.0);
-    util::topo::first_touch(shard.data(), shard.size() * sizeof(double));
-    for (std::size_t i = 0; i < shard.size(); ++i) {
-      shard[i] = static_cast<double>(i & 1023);
-    }
-  }
-  util::topo::ScopedAffinity touch(
-      topo.cpus(remote ? topo.num_nodes() - 1 : 0));
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (const double v : shard) sum += v;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(shard.size() * sizeof(double)));
-}
-
-void BM_ShardTouchLocal(benchmark::State& state) {
-  shard_touch(state, /*remote=*/false);
-}
-BENCHMARK(BM_ShardTouchLocal)->Unit(benchmark::kMillisecond);
-
-void BM_ShardTouchRemote(benchmark::State& state) {
-  shard_touch(state, /*remote=*/true);
-}
-BENCHMARK(BM_ShardTouchRemote)->Unit(benchmark::kMillisecond);
-
 void BM_RmatGeneration(benchmark::State& state) {
   for (auto _ : state) {
     util::Xoshiro256 rng(13);
@@ -641,19 +596,6 @@ int main(int argc, char** argv) {
   if (const double s = reuse_ratio("BM_DiameterContextFreshRoad",
                                    "BM_DiameterContextReuseRoad")) {
     report.put("diameter_context_reuse_speedup_road", s);
-  }
-  // NUMA shard-touch A/B (util/topology.hpp): remote-over-local streaming
-  // time. ~1.0 on single-node machines by construction (both bindings
-  // coincide); > 1.0 on multi-socket hardware quantifies the remote-DRAM
-  // penalty placement avoids. Deliberately not a "_speedup" field — on CI it
-  // is pure noise around 1.0 and must not trip the higher-is-better gate.
-  report.put("shard_touch_topology_nodes",
-             static_cast<std::uint64_t>(util::topo::discover().num_nodes()));
-  const double touch_local = real_time_of(reporter.runs, "BM_ShardTouchLocal");
-  const double touch_remote =
-      real_time_of(reporter.runs, "BM_ShardTouchRemote");
-  if (touch_local > 0.0 && touch_remote > 0.0) {
-    report.put("shard_touch_remote_penalty", touch_remote / touch_local);
   }
   // Disarmed fault points (util/fault.hpp) must stay in the noise: these are
   // absolute nanoseconds per check, not a ratio, so the gate can watch them.

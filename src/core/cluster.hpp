@@ -40,9 +40,8 @@ enum class DeltaInit {
 
 /// CLUSTER knobs. The shared execution knobs — `frontier` (sparse/dense
 /// thresholds of the growing steps' frontier engine), `partition` (shard
-/// layout for GrowingPolicy::kPartitioned; ignored by kPush/kPull),
-/// transport and placement — are inherited from exec::ExecOptions
-/// (DESIGN.md §8).
+/// layout for GrowingPolicy::kPartitioned; ignored by kPush/kPull) and
+/// transport — are inherited from exec::ExecOptions (DESIGN.md §8).
 struct ClusterOptions : exec::ExecOptions {
   /// Target decomposition granularity τ (number-of-clusters knob; the final
   /// clustering has O(τ log² n) clusters).

@@ -8,8 +8,6 @@
 #include <stdexcept>
 
 #include "exec/context.hpp"
-#include "mr/placement.hpp"
-#include "util/topology.hpp"
 
 namespace gdiam::core {
 
@@ -24,13 +22,8 @@ GrowingEngine::GrowingEngine(const Graph& g, GrowingPolicy policy,
       owned_partition_ = std::make_unique<mr::Partition>(g_, popts_);
       partition_ = owned_partition_.get();
     }
-    mr::PlacementPlan plan = mr::resolve_placement(
-        popts_placement_, partition_->num_partitions());
-    transport_ = mr::Launcher::make_transport(
-        topts_, partition_->num_partitions(), plan);
-    bsp_ = std::make_unique<mr::BspEngine>(*partition_, transport_.get());
+    rebuild_transport();
     exchange_.resize(partition_->num_partitions());
-    exchange_.set_node_map(plan.node_of_shard());
   }
   reset();
 }
@@ -44,25 +37,10 @@ void GrowingEngine::set_transport_options(const mr::TransportOptions& opts) {
   rebuild_transport();
 }
 
-void GrowingEngine::set_placement_options(const mr::PlacementOptions& opts) {
-  if (policy_ != GrowingPolicy::kPartitioned || opts == popts_placement_) {
-    popts_placement_ = opts;
-    return;
-  }
-  // The plan can also change under a fixed strategy when GDIAM_TOPOLOGY
-  // changed between runs on a pooled engine; rebuild_transport re-resolves
-  // it, so switching options is always sufficient to re-place.
-  popts_placement_ = opts;
-  rebuild_transport();
-}
-
 void GrowingEngine::rebuild_transport() {
-  mr::PlacementPlan plan =
-      mr::resolve_placement(popts_placement_, partition_->num_partitions());
-  transport_ = mr::Launcher::make_transport(
-      topts_, partition_->num_partitions(), plan);
+  transport_ =
+      mr::Launcher::make_transport(topts_, partition_->num_partitions());
   bsp_ = std::make_unique<mr::BspEngine>(*partition_, transport_.get());
-  exchange_.set_node_map(plan.node_of_shard());
 }
 
 void GrowingEngine::reset() {
@@ -96,7 +74,7 @@ void GrowingEngine::reset_frontier_state() {
     const std::uint32_t k = partition_->num_partitions();
     shard_active_.assign(k, {});
     shard_active_next_.assign(k, {});
-    shard_touched_.assign(k, {});
+    shard_stamped_.assign(k, {});
     // The outer vector must hold its address from before the pool workers
     // fork: their frozen decode closures index into it every superstep.
     if (pool_senders_.size() != k) pool_senders_.assign(k, {});
@@ -212,16 +190,10 @@ void GrowingEngine::ensure_split(Weight threshold) {
         pool_split_builds_ = ctx_->shard_split_builds();
       }
     } else {
-      // First-touch each shard's split on its placement node, mirroring the
-      // context-backed path (exec::Context::shard_splits_for). No-op binds
-      // under an inactive plan.
-      const mr::PlacementPlan plan = mr::resolve_placement(
-          popts_placement_, partition_->num_partitions());
       shard_splits_own_.clear();
       shard_splits_own_.reserve(partition_->num_partitions());
       for (mr::ShardId s = 0; s < partition_->num_partitions(); ++s) {
         const mr::Shard& sh = partition_->shards()[s];
-        util::topo::ScopedAffinity bind(plan.cpus_of_node(plan.node_of(s)));
         shard_splits_own_.push_back(
             presplit_csr(sh.offsets, sh.targets, sh.weights, threshold));
       }
@@ -626,7 +598,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
   }
   // Cleared before — not inside — compute: a remote compute's clear would
   // happen in the worker and leave the coordinator's lists stale for apply.
-  for (auto& touched : shard_touched_) touched.clear();
+  for (auto& touched : shard_stamped_) touched.clear();
 
   std::vector<std::uint64_t> shard_messages(k, 0);
   std::vector<std::uint64_t> shard_updates(k, 0);
@@ -641,7 +613,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
     // The light half of each owned node's presplit segment: no per-edge
     // weight filter.
     const CsrSplit& ss = (*shard_splits_)[sh.id];
-    auto& touched = shard_touched_[sh.id];
+    auto& touched = shard_stamped_[sh.id];
 
     // Owned-target proposal with lazy scratch initialization.
     auto propose = [&](NodeId v, PackedLabel cand) {
@@ -693,7 +665,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
 
   auto apply = [&](const mr::Shard& sh,
                    std::span<const LabelProposal> inbox) {
-    auto& touched = shard_touched_[sh.id];
+    auto& touched = shard_stamped_[sh.id];
     for (const LabelProposal& m : inbox) {
       const NodeId v = sh.global_of_local[m.target];
       if (touch_stamp_[v] != touch_round_) {
@@ -740,8 +712,6 @@ GrowingStepResult GrowingEngine::step_partitioned(
   }
   out.cross_messages = traffic.cross_messages;
   out.cross_bytes = traffic.cross_bytes;
-  out.cross_node_messages = traffic.cross_node_messages;
-  out.cross_node_bytes = traffic.cross_node_bytes;
   out.wire_messages = traffic.wire_messages;
   out.wire_bytes = traffic.wire_bytes;
   return out;

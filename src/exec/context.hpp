@@ -141,14 +141,12 @@ class Context {
 
   /// The cached per-shard presplit of `part` for `delta`, or nullptr. A pure
   /// lookup: no build, no LRU reordering, no allocation — safe in a forked
-  /// pool worker resolving a split in its snapshot of this cache. `part`
-  /// pins the placement fingerprint too: partitions are cached per
-  /// fingerprint, so one partition has at most one entry per Δ.
+  /// pool worker resolving a split in its snapshot of this cache.
   [[nodiscard]] const std::vector<CsrSplit>* find_shard_splits(
       const mr::Partition& part, Weight delta) const noexcept;
 
   /// Adopts the persisted presplit sidecars of a mapped .gcsr file into the
-  /// split cache for `g` — the load-from-file warm path (DESIGN.md §14).
+  /// split cache for `g` — the load-from-file warm path (DESIGN.md §13).
   /// `g` must be a view into `m`'s mapping (m.covers(g)); anything else
   /// throws io::BinfmtError{kFingerprintMismatch}. The adopted splits are
   /// zero-copy views of the mapping (io::MappedGraph::presplit) that keep it
@@ -158,8 +156,8 @@ class Context {
   /// (0 when the file carries none).
   std::size_t adopt_presplits(const Graph& g, const io::MappedGraph& m);
 
-  /// True when split_for(g, delta) would hit the cache under the current
-  /// placement fingerprint. Pure lookup: does not touch LRU order.
+  /// True when split_for(g, delta) would hit the cache. Pure lookup: does
+  /// not touch LRU order.
   [[nodiscard]] bool has_split(const Graph& g, Weight delta) const;
 
   // --- (b) pooled per-run scratch ------------------------------------------
@@ -214,34 +212,25 @@ class Context {
   /// covers a run while bounding a context reused across many graphs.
   static constexpr std::size_t kMaxSplits = 32;
 
-  // Every entry also carries the placement fingerprint
-  // (mr::placement_fingerprint of the context's options at build time): a
-  // cached layout is first-touched for one (strategy, topology), and serving
-  // it after a --placement or GDIAM_TOPOLOGY change would silently keep the
-  // old page placement. 0 (placement off) reproduces the old keys exactly.
   struct SplitEntry {
     GraphKey key;
     Weight delta = 0.0;
-    std::uint64_t pfp = 0;
     std::unique_ptr<SplitCsr> split;
   };
   struct PartitionEntry {
     GraphKey key;
     mr::PartitionOptions opts;
-    std::uint64_t pfp = 0;
     std::unique_ptr<mr::Partition> partition;
   };
   struct ShardSplitEntry {
     const mr::Partition* partition = nullptr;  // stable: never evicted
     Weight delta = 0.0;
-    std::uint64_t pfp = 0;
     std::unique_ptr<std::vector<CsrSplit>> splits;
   };
   struct EngineEntry {
     GraphKey key;
     core::GrowingPolicy policy;
     mr::PartitionOptions popts;
-    std::uint64_t pfp = 0;
     std::unique_ptr<core::GrowingEngine> engine;
   };
 

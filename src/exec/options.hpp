@@ -57,13 +57,6 @@ struct ExecOptions {
   /// additionally reporting the genuinely-crossed wire bytes. Only the
   /// partitioned backends read it.
   mr::TransportOptions transport;
-  /// NUMA-aware shard placement (mr/placement.hpp, DESIGN.md §13): which
-  /// strategy maps shards onto the discovered topology (GDIAM_TOPOLOGY
-  /// override honored). kNone — the default — is the pre-placement behavior
-  /// verbatim. Placement moves memory and threads, never results: distances,
-  /// labels and model counters are bit-identical across strategies. Only the
-  /// partitioned BSP backends read it.
-  mr::PlacementOptions placement;
   /// Stepping kernel for SSSP-shaped work (sssp::shortest_paths dispatches
   /// on it). Non-SSSP kernels (growing, CLUSTER) ignore it.
   Algorithm algorithm = Algorithm::kDeltaStepping;

@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "graph/binfmt.hpp"
 #include "graph/builder.hpp"
 
 namespace gdiam::io {
@@ -56,15 +58,32 @@ void write_vec(std::ostream& out, std::span<const T> v) {
             static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/// Reads one length-prefixed array. `left` is the number of stream bytes not
+/// yet consumed; a length that claims more is rejected before allocating.
 template <typename T>
-std::vector<T> read_vec(std::istream& in) {
+std::vector<T> read_vec(std::istream& in, std::uint64_t& left) {
   std::uint64_t size = 0;
   read_pod(in, size);
+  left -= std::min<std::uint64_t>(left, sizeof size);
+  if (size > left / sizeof(T)) fail("binary length field exceeds the stream");
+  left -= size * sizeof(T);
   std::vector<T> v(size);
   in.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(size * sizeof(T)));
   if (!in) fail("binary stream truncated");
   return v;
+}
+
+/// Bytes from the stream's position to its end; fails on a stream that
+/// cannot seek, where no length field could be checked before allocating.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::streampos pos = in.tellg();
+  if (pos == std::streampos(-1)) fail("binary stream is not seekable");
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(pos);
+  if (!in || end < pos) fail("binary stream is not seekable");
+  return static_cast<std::uint64_t>(end - pos);
 }
 
 }  // namespace
@@ -132,11 +151,9 @@ void write_dimacs_file(const Graph& g, const std::string& path) {
   write_dimacs(g, f);
 }
 
-Graph read_edge_list(std::istream& in, bool compact_ids,
-                     std::size_t size_hint_bytes) {
+Graph read_edge_list(std::istream& in, std::size_t size_hint_bytes) {
   EdgeList raw;
   std::unordered_map<std::uint64_t, NodeId> remap;
-  std::uint64_t max_id = 0;
   if (size_hint_bytes > 0) {
     // ~16 bytes per "u v [w]" line on real SNAP dumps; a slight
     // over-estimate only wastes capacity, an under-estimate costs rehashes
@@ -147,13 +164,9 @@ Graph read_edge_list(std::istream& in, bool compact_ids,
     // average well over 10 edges per node); a small fraction of the edge
     // estimate avoids rehashing without ballooning the bucket array on
     // billion-line inputs. Under-estimates just rehash a couple of times.
-    if (compact_ids) remap.reserve(edges_hint / 16 + 16);
+    remap.reserve(edges_hint / 16 + 16);
   }
   auto map_id = [&](std::uint64_t id) -> NodeId {
-    if (!compact_ids) {
-      max_id = std::max(max_id, id);
-      return static_cast<NodeId>(id);
-    }
     auto [it, inserted] = remap.try_emplace(
         id, static_cast<NodeId>(remap.size()));
     return it->second;
@@ -231,19 +244,14 @@ Graph read_edge_list(std::istream& in, bool compact_ids,
   if (!carry.empty()) {  // final line without a trailing newline
     parse_line(carry.data(), carry.data() + carry.size());
   }
-  const NodeId n = compact_ids ? static_cast<NodeId>(remap.size())
-                               : static_cast<NodeId>(raw.empty() && max_id == 0
-                                                         ? 0
-                                                         : max_id + 1);
-  return build_graph(n, raw);
+  return build_graph(static_cast<NodeId>(remap.size()), raw);
 }
 
-Graph read_edge_list_file(const std::string& path, bool compact_ids) {
+Graph read_edge_list_file(const std::string& path) {
   auto f = open_in(path, std::ios::in);
   std::error_code ec;
   const auto bytes = std::filesystem::file_size(path, ec);
-  return read_edge_list(f, compact_ids,
-                        ec ? 0 : static_cast<std::size_t>(bytes));
+  return read_edge_list(f, ec ? 0 : static_cast<std::size_t>(bytes));
 }
 
 void write_edge_list(const Graph& g, std::ostream& out) {
@@ -276,15 +284,34 @@ Graph read_binary(std::istream& in) {
   std::uint32_t version = 0;
   read_pod(in, version);
   if (version != kBinaryVersion) fail("unsupported binary version");
-  auto offsets = read_vec<EdgeIndex>(in);
-  auto targets = read_vec<NodeId>(in);
-  auto weights = read_vec<Weight>(in);
-  return Graph(std::move(offsets), std::move(targets), std::move(weights));
+  std::uint64_t left = bytes_left(in);
+  auto offsets = read_vec<EdgeIndex>(in, left);
+  auto targets = read_vec<NodeId>(in, left);
+  auto weights = read_vec<Weight>(in, left);
+  if (offsets.empty() || offsets.back() != targets.size() ||
+      targets.size() != weights.size()) {
+    fail("binary CSR array sizes disagree");
+  }
+  // The constructor checks only the sizes; kernels trust every offset,
+  // target and weight, so the rest is checked before the graph leaves here.
+  Graph g(std::move(offsets), std::move(targets), std::move(weights));
+  if (!g.validate()) {
+    fail("binary CSR is invalid (offsets must start at 0 and never "
+         "decrease, targets must be < n, weights positive and finite)");
+  }
+  return g;
 }
 
 Graph read_binary_file(const std::string& path) {
   auto f = open_in(path, std::ios::binary);
   return read_binary(f);
+}
+
+Graph load_graph(const std::string& path) {
+  if (path.ends_with(".gr")) return read_dimacs_file(path);
+  if (path.ends_with(".bin")) return read_binary_file(path);
+  if (path.ends_with(".gcsr")) return open_mmap(path).graph();
+  return read_edge_list_file(path);
 }
 
 }  // namespace gdiam::io

@@ -28,26 +28,34 @@ void write_dimacs_file(const Graph& g, const std::string& path);
 
 /// Reads a SNAP-style edge list: "u v" or "u v w" per line, '#' comments.
 /// Node ids need not be contiguous; they are compacted preserving order of
-/// first appearance when `compact_ids`, else taken literally (max id + 1
-/// nodes). Directed inputs are symmetrized (paper: "the twitter graph,
-/// originally directed, has been symmetrized").
+/// first appearance. Directed inputs are symmetrized (paper: "the twitter
+/// graph, originally directed, has been symmetrized").
 /// `size_hint_bytes` (stream length, when known) presizes the edge buffer
 /// and the id-remap table so the scan does not rehash/reallocate while
 /// loading; the file variant derives it from the file size automatically.
 /// The scan streams through fixed 1 MiB chunks with a bounded (64 KiB)
 /// carry buffer for boundary-straddling lines — peak transient memory is
 /// independent of the input size.
-[[nodiscard]] Graph read_edge_list(std::istream& in, bool compact_ids = true,
+[[nodiscard]] Graph read_edge_list(std::istream& in,
                                    std::size_t size_hint_bytes = 0);
-[[nodiscard]] Graph read_edge_list_file(const std::string& path,
-                                        bool compact_ids = true);
+[[nodiscard]] Graph read_edge_list_file(const std::string& path);
 
 void write_edge_list(const Graph& g, std::ostream& out);
 
 /// gdiam binary format (magic "GDIA", version, CSR arrays, little-endian).
+/// read_binary validates what it hands to Graph: every length field fits in
+/// the bytes left in the stream (checked before allocating, so the stream
+/// must be seekable), offsets start at 0 and never decrease, every target is
+/// a node id, every weight is positive and finite. Bad input throws
+/// std::runtime_error.
 void write_binary(const Graph& g, std::ostream& out);
 void write_binary_file(const Graph& g, const std::string& path);
 [[nodiscard]] Graph read_binary(std::istream& in);
 [[nodiscard]] Graph read_binary_file(const std::string& path);
+
+/// Reads a graph file, choosing the format by extension: .gr (DIMACS), .bin
+/// (gdiam binary), .gcsr (zero-copy mmap, graph/binfmt.hpp; the returned
+/// Graph keeps the mapping alive), anything else an edge list.
+[[nodiscard]] Graph load_graph(const std::string& path);
 
 }  // namespace gdiam::io

@@ -21,12 +21,6 @@ std::string to_string(const RoundStats& s) {
                          static_cast<double>(s.cross_messages),
                          static_cast<double>(s.cross_bytes));
   }
-  if (s.cross_node_messages != 0 || s.cross_node_bytes != 0) {
-    len += std::snprintf(buf + len, sizeof buf - static_cast<std::size_t>(len),
-                         " xnode=%.3emsg/%.3eB",
-                         static_cast<double>(s.cross_node_messages),
-                         static_cast<double>(s.cross_node_bytes));
-  }
   if (s.wire_messages != 0 || s.wire_bytes != 0) {
     len += std::snprintf(buf + len, sizeof buf - static_cast<std::size_t>(len),
                          " wire=%.3emsg/%.3eB",

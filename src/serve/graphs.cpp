@@ -68,21 +68,14 @@ GenSpec parse_gen(const std::string& spec) {
   return out;
 }
 
-Graph load_file(const std::string& path) {
-  if (path.ends_with(".gr")) return io::read_dimacs_file(path);
-  if (path.ends_with(".bin")) return io::read_binary_file(path);
-  // Zero-copy mmap ingest; the returned Graph shares (and keeps alive) the
-  // mapping. GraphStore::get() adopts any persisted presplit sidecars into
-  // the entry's context after the graph lands in its final slot.
-  if (path.ends_with(".gcsr")) return io::open_mmap(path).graph();
-  return io::read_edge_list_file(path);
-}
-
 }  // namespace
 
 Graph make_graph(const std::string& spec) {
-  if (spec.starts_with("file:")) return load_file(spec.substr(5));
-  if (!spec.starts_with("gen:")) return load_file(spec);
+  // A .gcsr file maps zero-copy; GraphStore::get() adopts its persisted
+  // presplit sidecars into the entry's context after the graph lands in its
+  // final slot.
+  if (spec.starts_with("file:")) return io::load_graph(spec.substr(5));
+  if (!spec.starts_with("gen:")) return io::load_graph(spec);
 
   const GenSpec gs = parse_gen(spec);
   const std::uint64_t seed = gs.num("seed", 1);

@@ -53,7 +53,7 @@ namespace gdiam::sssp {
 
 /// Δ-stepping knobs. The shared execution knobs — `frontier` (sparse/dense
 /// thresholds of the improved-set engine), `partition` (BSP shard layout;
-/// K <= 1 = flat kernel), transport and placement — are inherited from
+/// K <= 1 = flat kernel) and transport — are inherited from
 /// exec::ExecOptions, the single definition every gdiam kernel shares
 /// (DESIGN.md §8).
 struct DeltaSteppingOptions : exec::ExecOptions {

@@ -154,12 +154,6 @@ void append_u64(std::vector<std::byte>& out, std::uint64_t v) {
   out.insert(out.end(), p, p + sizeof v);
 }
 
-int ReapResult::exit_code() const noexcept {
-  if (!reaped || sigtermed || sigkilled) return -1;
-  if (!WIFEXITED(status)) return -1;
-  return WEXITSTATUS(status);
-}
-
 namespace {
 
 /// WNOHANG poll for up to `timeout_ms`, EINTR-clean. Returns 1 when the

@@ -65,10 +65,6 @@ struct ReapResult {
   bool sigtermed = false;   // deadline expired; child was sent SIGTERM
   bool sigkilled = false;   // SIGTERM grace expired too; child was SIGKILLed
   int status = 0;           // raw waitpid status when reaped
-  /// Exit code when the child exited normally *without escalation*,
-  /// otherwise -1 (signal death and TERM/KILL escalations are never
-  /// "success" — a dead-but-zero-looking worker is silent data loss).
-  [[nodiscard]] int exit_code() const noexcept;
 };
 
 /// Reaps `pid` with a bounded, EINTR-clean wait: polls WNOHANG for up to

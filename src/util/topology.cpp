@@ -1,14 +1,11 @@
 #include "util/topology.hpp"
 
-#include <sched.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <set>
-#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -16,102 +13,74 @@ namespace gdiam::util::topo {
 
 namespace {
 
-/// Splits a kernel cpulist ("0,2,4-6") into CPU ids, appending to `out`.
-/// Throws std::invalid_argument on anything but digits, commas and
-/// well-formed inclusive ranges.
-void parse_cpulist(const std::string& list, std::vector<int>& out) {
-  if (list.empty()) throw std::invalid_argument("topology: empty node");
+/// Parses one sysfs cpulist file ("0,2,4-6") into CPU ids. Empty result on
+/// any failure: discovery falls back, it never throws.
+std::vector<int> read_cpulist_file(const std::string& path) {
+  std::ifstream f(path);
+  std::string list;
+  if (!f || !std::getline(f, list)) return {};
+  while (!list.empty() && (list.back() == '\n' || list.back() == ' ')) {
+    list.pop_back();
+  }
+  std::vector<int> cpus;
   std::size_t i = 0;
-  auto number = [&]() -> int {
-    if (i >= list.size() || std::isdigit(static_cast<unsigned char>(list[i])) == 0) {
-      throw std::invalid_argument("topology: expected cpu id in '" + list +
-                                  "'");
+  auto number = [&](int& out) {
+    if (i >= list.size() ||
+        std::isdigit(static_cast<unsigned char>(list[i])) == 0) {
+      return false;
     }
     long v = 0;
     while (i < list.size() &&
            std::isdigit(static_cast<unsigned char>(list[i])) != 0) {
       v = v * 10 + (list[i] - '0');
-      if (v > 1 << 20) {
-        throw std::invalid_argument("topology: cpu id out of range in '" +
-                                    list + "'");
-      }
+      if (v > 1 << 20) return false;
       ++i;
     }
-    return static_cast<int>(v);
+    out = static_cast<int>(v);
+    return true;
   };
   for (;;) {
-    const int lo = number();
+    int lo = 0;
+    if (!number(lo)) return {};
     int hi = lo;
     if (i < list.size() && list[i] == '-') {
       ++i;
-      hi = number();
-      if (hi < lo) {
-        throw std::invalid_argument("topology: inverted range in '" + list +
-                                    "'");
-      }
+      if (!number(hi) || hi < lo) return {};
     }
-    for (int c = lo; c <= hi; ++c) out.push_back(c);
-    if (i == list.size()) return;
-    if (list[i] != ',') {
-      throw std::invalid_argument("topology: unexpected '" +
-                                  std::string(1, list[i]) + "' in '" + list +
-                                  "'");
-    }
+    for (int c = lo; c <= hi; ++c) cpus.push_back(c);
+    if (i == list.size()) return cpus;
+    if (list[i] != ',') return {};
     ++i;
-    if (i == list.size()) {
-      throw std::invalid_argument("topology: trailing ',' in '" + list + "'");
+  }
+}
+
+Topology scan() {
+  Topology t;
+  // node ids are dense in practice, but holes are legal — scan until a
+  // reasonable bound and keep whatever exists.
+  for (int node = 0; node < 1024; ++node) {
+    std::vector<int> cpus = read_cpulist_file(
+        "/sys/devices/system/node/node" + std::to_string(node) + "/cpulist");
+    if (cpus.empty()) {
+      if (node > 0) break;  // past the last node
+      continue;             // node0 absent: fall through to the fallback
     }
+    t.cpus_of_node.push_back(std::move(cpus));
   }
-}
-
-/// Reads one sysfs cpulist file; empty result on any failure (discovery
-/// falls back, it never throws — only explicit specs are strict).
-std::vector<int> read_cpulist_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return {};
-  std::string line;
-  std::getline(f, line);
-  while (!line.empty() && (line.back() == '\n' || line.back() == ' ')) {
-    line.pop_back();
+  if (t.cpus_of_node.empty()) {
+    const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
+    std::vector<int> cpus;
+    for (int c = 0; c < std::max(1L, n); ++c) cpus.push_back(c);
+    t.cpus_of_node.push_back(std::move(cpus));
   }
-  std::vector<int> cpus;
-  try {
-    parse_cpulist(line, cpus);
-  } catch (const std::invalid_argument&) {
-    return {};
-  }
-  return cpus;
-}
-
-Topology fallback_single_node() {
-  const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
-  std::vector<int> cpus;
-  for (int c = 0; c < std::max(1L, n); ++c) cpus.push_back(c);
-  return Topology{{std::move(cpus)}};
-}
-
-static_assert(sizeof(cpu_set_t) <= 128,
-              "ScopedAffinity's opaque buffer must hold a cpu_set_t");
-
-/// cpu_set_t of `cpus` ∩ `allowed`; returns the popcount of the result.
-int intersect_mask(const std::vector<int>& cpus, const cpu_set_t& allowed,
-                   cpu_set_t& out) noexcept {
-  CPU_ZERO(&out);
-  int count = 0;
-  for (const int c : cpus) {
-    if (c >= 0 && c < CPU_SETSIZE && CPU_ISSET(c, &allowed)) {
-      CPU_SET(c, &out);
-      ++count;
-    }
-  }
-  return count;
+  return t;
 }
 
 }  // namespace
 
 std::uint64_t Topology::fingerprint() const noexcept {
-  // SplitMix64 chaining over the structure; 0 is reserved for "no topology"
-  // so an inactive placement hashes to the pre-placement cache keys.
+  // SplitMix64 chaining over the structure; 0 is reserved, so a real
+  // topology never hashes to it.
   std::uint64_t h = SplitMix64(0x746f706f6c6f6779ULL /* "topology" */).next();
   h ^= SplitMix64(num_nodes()).next();
   for (const auto& node : cpus_of_node) {
@@ -123,95 +92,9 @@ std::uint64_t Topology::fingerprint() const noexcept {
   return h == 0 ? 1 : h;
 }
 
-Topology parse_spec(const std::string& spec) {
-  if (spec.empty()) throw std::invalid_argument("topology: empty spec");
-  Topology t;
-  std::string node;
-  // split on ';' manually so a trailing ';' is caught as an empty node
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t sep = spec.find(';', start);
-    node = spec.substr(start, sep == std::string::npos ? sep : sep - start);
-    std::vector<int> cpus;
-    parse_cpulist(node, cpus);  // throws on empty/malformed
-    t.cpus_of_node.push_back(std::move(cpus));
-    if (sep == std::string::npos) break;
-    start = sep + 1;
-  }
-  // A CPU on two nodes (or twice on one) makes capacity accounting and
-  // binding ambiguous; real topologies never do it, so a spec that does is a
-  // typo, not an emulation.
-  std::set<int> seen;
-  for (const auto& cpus : t.cpus_of_node) {
-    for (const int c : cpus) {
-      if (!seen.insert(c).second) {
-        throw std::invalid_argument("topology: cpu " + std::to_string(c) +
-                                    " listed twice");
-      }
-    }
-  }
-  return t;
-}
-
-const Topology& system_topology() {
-  static const Topology cached = [] {
-    Topology t;
-    // node ids are dense in practice, but holes are legal — scan until a
-    // reasonable bound and keep whatever exists.
-    for (int node = 0; node < 1024; ++node) {
-      std::vector<int> cpus = read_cpulist_file(
-          "/sys/devices/system/node/node" + std::to_string(node) +
-          "/cpulist");
-      if (cpus.empty()) {
-        if (node > 0) break;  // past the last node
-        continue;             // node0 absent: fall through to the fallback
-      }
-      t.cpus_of_node.push_back(std::move(cpus));
-    }
-    if (t.cpus_of_node.empty()) t = fallback_single_node();
-    return t;
-  }();
-  return cached;
-}
-
 Topology discover() {
-  const char* spec = std::getenv("GDIAM_TOPOLOGY");
-  if (spec != nullptr && spec[0] != '\0') return parse_spec(spec);
-  return system_topology();
-}
-
-bool bind_current_thread(const std::vector<int>& cpus) noexcept {
-  cpu_set_t allowed;
-  if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0) return false;
-  cpu_set_t target;
-  if (intersect_mask(cpus, allowed, target) == 0) return false;
-  if (CPU_EQUAL(&target, &allowed)) return false;  // no-op bind
-  return ::sched_setaffinity(0, sizeof target, &target) == 0;
-}
-
-ScopedAffinity::ScopedAffinity(const std::vector<int>& cpus) noexcept {
-  std::memset(saved_, 0, sizeof saved_);
-  cpu_set_t current;
-  if (::sched_getaffinity(0, sizeof current, &current) != 0) return;
-  std::memcpy(saved_, &current, sizeof current);
-  bound_ = bind_current_thread(cpus);
-}
-
-ScopedAffinity::~ScopedAffinity() {
-  if (!bound_) return;
-  cpu_set_t saved;
-  std::memcpy(&saved, saved_, sizeof saved);
-  ::sched_setaffinity(0, sizeof saved, &saved);
-}
-
-void first_touch(void* p, std::size_t len) noexcept {
-  // One volatile read-modify-write per page: enough to fault the page in on
-  // the calling thread's node without changing its contents.
-  const long page = ::sysconf(_SC_PAGESIZE);
-  const std::size_t step = page > 0 ? static_cast<std::size_t>(page) : 4096;
-  auto* bytes = static_cast<volatile unsigned char*>(p);
-  for (std::size_t i = 0; i < len; i += step) bytes[i] = bytes[i];
-  if (len != 0) bytes[len - 1] = bytes[len - 1];
+  static const Topology cached = scan();
+  return cached;
 }
 
 }  // namespace gdiam::util::topo

@@ -1,4 +1,4 @@
-// The .gcsr lock-down suite (graph/binfmt.hpp; DESIGN.md §14).
+// The .gcsr lock-down suite (graph/binfmt.hpp; DESIGN.md §13).
 //
 // Three layers of guarantees, each pinned here:
 //
@@ -231,9 +231,14 @@ bool inside_mapping(const MappedGraph& m, const void* p, std::size_t bytes) {
 /// exactly) so the text-ingest arm of the parity tests carries bit-identical
 /// weights. io::write_edge_list streams default precision — fine for humans,
 /// not for a bit-parity contract.
+/// Writes `g` as an edge list that reads back with the same node ids: the
+/// reader compacts ids in order of first appearance and drops self-loops,
+/// so one "u u" line per node, in id order, makes the compaction the
+/// identity (isolated nodes included).
 void write_exact_edge_list(const Graph& g, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr) << path;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) std::fprintf(f, "%u %u\n", u, u);
   for (const Edge& e : to_edge_list(g)) {
     std::fprintf(f, "%u %u %.17g\n", e.u, e.v, e.w);
   }
@@ -490,7 +495,7 @@ TEST_F(BinfmtTest, SsspParityTextVsMmapAcrossTransports) {
     write_gcsr(built, bp,
                {.presplit_deltas = {built.avg_weight()}});
 
-    const Graph text = read_edge_list_file(tp, /*compact_ids=*/false);
+    const Graph text = read_edge_list_file(tp);
     ASSERT_EQ(text.num_nodes(), built.num_nodes());
     const MappedGraph m = open_mmap(bp);
     const Graph mapped = m.graph();
@@ -524,7 +529,7 @@ TEST_F(BinfmtTest, DiameterEstimateParityTextVsMmapAcrossTransports) {
   write_exact_edge_list(built, tp);
   write_gcsr(built, bp);
 
-  const Graph text = read_edge_list_file(tp, /*compact_ids=*/false);
+  const Graph text = read_edge_list_file(tp);
   const MappedGraph m = open_mmap(bp);
   const Graph mapped = m.graph();
 

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/weights.hpp"
 #include "graph/io.hpp"
@@ -87,15 +90,9 @@ TEST(EdgeList, ParsesWithAndWithoutWeights) {
 
 TEST(EdgeList, CompactsSparseIds) {
   std::istringstream in("1000000 2000000\n2000000 3000000\n");
-  const Graph g = read_edge_list(in, /*compact_ids=*/true);
+  const Graph g = read_edge_list(in);
   EXPECT_EQ(g.num_nodes(), 3u);
   EXPECT_EQ(g.num_edges(), 2u);
-}
-
-TEST(EdgeList, LiteralIdsWhenNotCompacting) {
-  std::istringstream in("0 5\n");
-  const Graph g = read_edge_list(in, /*compact_ids=*/false);
-  EXPECT_EQ(g.num_nodes(), 6u);
 }
 
 TEST(EdgeList, SymmetrizesDirectedDuplicates) {
@@ -145,6 +142,83 @@ TEST(Binary, TruncatedStreamThrows) {
   std::stringstream cut(full.substr(0, full.size() / 2),
                         std::ios::in | std::ios::binary);
   EXPECT_THROW((void)read_binary(cut), std::runtime_error);
+}
+
+// A hand-written .bin stream: magic, version, then three length-prefixed
+// arrays. `offsets_len` overrides the offsets length field when nonzero.
+std::stringstream raw_binary(const std::vector<EdgeIndex>& offsets,
+                             const std::vector<NodeId>& targets,
+                             const std::vector<Weight>& weights,
+                             std::uint64_t offsets_len = 0) {
+  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
+  auto put = [&](const void* p, std::size_t n) {
+    s.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+  };
+  auto put_u64 = [&](std::uint64_t v) { put(&v, sizeof v); };
+  put("GDIA", 4);
+  const std::uint32_t version = 1;
+  put(&version, sizeof version);
+  put_u64(offsets_len != 0 ? offsets_len : offsets.size());
+  put(offsets.data(), offsets.size() * sizeof(EdgeIndex));
+  put_u64(targets.size());
+  put(targets.data(), targets.size() * sizeof(NodeId));
+  put_u64(weights.size());
+  put(weights.data(), weights.size() * sizeof(Weight));
+  return s;
+}
+
+// Bad .bin input must fail with the reader's own error, never reach Graph.
+void expect_io_error(std::stringstream s, const std::string& what) {
+  try {
+    (void)read_binary(s);
+    ADD_FAILURE() << "accepted a stream with " << what;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("gdiam::io: ", 0), 0u) << e.what();
+  }
+}
+
+TEST(Binary, HandWrittenStreamReads) {
+  auto s = raw_binary({0, 1, 2}, {1, 0}, {1.5, 1.5});
+  const Graph g = read_binary(s);
+  EXPECT_EQ(g.num_nodes(), 2u);
+  EXPECT_DOUBLE_EQ(edge_weight(g, 0, 1), 1.5);
+}
+
+TEST(Binary, RejectsTargetOutOfRange) {
+  expect_io_error(raw_binary({0, 1, 2}, {1, 4000000}, {1, 1}),
+                  "target >= n");
+}
+
+TEST(Binary, RejectsOffsetsNotStartingAtZero) {
+  expect_io_error(raw_binary({1, 1, 2}, {1, 0}, {1, 1}), "offsets[0] != 0");
+  expect_io_error(raw_binary({}, {}, {}), "no offsets");
+}
+
+TEST(Binary, RejectsDecreasingOffsets) {
+  expect_io_error(raw_binary({0, 2, 1, 2}, {1, 0}, {1, 1}),
+                  "decreasing offsets");
+}
+
+TEST(Binary, RejectsDisagreeingSizes) {
+  expect_io_error(raw_binary({0, 1, 3}, {1, 0}, {1, 1}),
+                  "offsets.back() != targets");
+  expect_io_error(raw_binary({0, 1, 2}, {1, 0}, {1}), "weights != targets");
+}
+
+TEST(Binary, RejectsNonPositiveOrNonFiniteWeights) {
+  for (const Weight w : {0.0, -1.0, kInfiniteWeight,
+                         std::numeric_limits<Weight>::quiet_NaN()}) {
+    expect_io_error(raw_binary({0, 1, 2}, {1, 0}, {w, w}),
+                    "weight " + std::to_string(w));
+  }
+}
+
+TEST(Binary, RejectsLengthFieldPastTheStream) {
+  // A length no machine can allocate: the reader must reject it from the
+  // bytes left in the stream, before sizing any array.
+  expect_io_error(raw_binary({0, 1, 2}, {1, 0}, {1, 1},
+                             std::numeric_limits<std::uint64_t>::max() / 2),
+                  "an oversized length field");
 }
 
 TEST(Files, BinaryFileRoundTrip) {

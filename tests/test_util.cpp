@@ -1,6 +1,6 @@
 // Unit tests for src/util: RNG determinism and distributions, order-
 // preserving bit packing, thread buffers, atomic min, tables, options,
-// scale presets.
+// scale presets, topology fingerprints.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "util/bitpack.hpp"
 #include "util/options.hpp"
@@ -18,6 +19,7 @@
 #include "util/scale.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "util/topology.hpp"
 
 namespace gdiam::util {
 namespace {
@@ -303,6 +305,25 @@ TEST(Scale, NamesRoundTrip) {
   for (const Scale s : {Scale::kCi, Scale::kSmall, Scale::kPaper}) {
     EXPECT_EQ(parse_scale(scale_name(s)), s);
   }
+}
+
+TEST(Topology, FingerprintIsStructural) {
+  const auto fp = [](std::vector<std::vector<int>> nodes) {
+    return topo::Topology{std::move(nodes)}.fingerprint();
+  };
+  EXPECT_EQ(fp({{0, 1, 2, 3}, {4, 5, 6, 7}}),
+            fp({{0, 1, 2, 3}, {4, 5, 6, 7}}));  // a pure function of structure
+  EXPECT_NE(fp({{0, 1, 2, 3}, {4, 5, 6, 7}}),
+            fp({{0, 1, 2, 3, 4, 5, 6, 7}}));  // node split matters
+  EXPECT_NE(fp({{0}, {1}}), fp({{1}, {0}}));  // per-node membership matters
+  EXPECT_NE(fp({{0}}), 0u);                   // 0 is reserved
+}
+
+TEST(Topology, DiscoverIsStableAndNonEmpty) {
+  const topo::Topology t = topo::discover();
+  ASSERT_GE(t.num_nodes(), 1u);
+  for (const auto& cpus : t.cpus_of_node) EXPECT_FALSE(cpus.empty());
+  EXPECT_EQ(t.fingerprint(), topo::discover().fingerprint());
 }
 
 TEST(Timer, MeasuresElapsedTime) {

@@ -43,14 +43,14 @@ commands:
   estimate FILE [--tau T] [--seed S] [--cluster2] [--classic] [--pull]
            [--partitions K] [--range-partition]
            [--transport local|pool]
-           [--processes P] [--placement none|round-robin|capacity]
+           [--processes P]
            [--repeat N] [--reuse-context | --no-reuse-context]
   decompose FILE --out CLUSTERING.gdcl [--tau T] [--seed S]
             [--quotient QUOTIENT_GRAPH_FILE]
   sssp     FILE [--source U] [--algorithm delta|rho] [--delta D] [--rho N]
            [--partitions K] [--range-partition]
            [--transport local|pool]
-           [--processes P] [--placement none|round-robin|capacity]
+           [--processes P]
            [--repeat N] [--reuse-context | --no-reuse-context]
   convert  IN OUT
 
@@ -70,13 +70,6 @@ sockets) — the serving configuration gdiamd runs hot graphs on. Results are
 bit-identical to the in-process transport, and the cost line gains the
 genuinely-crossed wire=.../... traffic. Requires --partitions K > 1.
 
---placement maps the K shards onto the machine's NUMA nodes (round-robin or
-capacity-balanced; DESIGN.md section 13): shard compute is pinned to its
-node, shard layouts are first-touched there, and the cost line gains the
-xnode=.../... cross-node traffic. The GDIAM_TOPOLOGY env var overrides the
-detected topology (e.g. "0-3;4-7"). Distances and model counters are
-bit-identical across placements; requires --partitions K > 1.
-
 --repeat N runs the estimate / sssp kernel N times and prints per-run wall
 times. By default every repetition shares one exec::Context (pooled engines
 and buffers, cached Δ-presplit and shard layouts — the steady-state serving
@@ -87,13 +80,6 @@ from the command line. Results are identical either way.
 A flag the command does not take is a usage error.
 )");
   std::exit(error == nullptr ? 0 : 2);
-}
-
-Graph load(const std::string& path) {
-  if (path.ends_with(".gr")) return io::read_dimacs_file(path);
-  if (path.ends_with(".bin")) return io::read_binary_file(path);
-  if (path.ends_with(".gcsr")) return io::open_mmap(path).graph();
-  return io::read_edge_list_file(path);
 }
 
 void store(const Graph& g, const std::string& path) {
@@ -151,21 +137,6 @@ mr::TransportOptions parse_transport(const util::Options& o,
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-}
-
-/// Shared --placement parsing (estimate and sssp). Placement only exists
-/// behind the BSP engine, so a non-none strategy requires --partitions K > 1.
-mr::PlacementOptions parse_placement(const util::Options& o,
-                                     const mr::PartitionOptions& p) {
-  mr::PlacementOptions pl;
-  const std::string name = o.get_string("placement", "none");
-  const auto strategy = mr::parse_placement_strategy(name);
-  if (!strategy) usage("--placement must be none, round-robin or capacity");
-  pl.strategy = *strategy;
-  if (pl.strategy != mr::PlacementStrategy::kNone && p.num_partitions <= 1) {
-    usage("--placement requires --partitions K > 1");
-  }
-  return pl;
 }
 
 /// Shared --repeat / --reuse-context / --no-reuse-context parsing.
@@ -253,7 +224,7 @@ int cmd_stats(const util::Options& o) {
   if (o.positional().size() < 2) usage("stats requires a graph file");
   const auto sweeps = static_cast<unsigned>(o.get_int("sweeps", 4));
   reject_unread(o);
-  const Graph g = load(o.positional()[1]);
+  const Graph g = io::load_graph(o.positional()[1]);
   const Components cc = connected_components(g);
   const DegreeStats deg = degree_stats(g);
   std::printf("nodes:       %u\n", g.num_nodes());
@@ -277,7 +248,7 @@ int cmd_stats(const util::Options& o) {
 
 int cmd_estimate(const util::Options& o) {
   if (o.positional().size() < 2) usage("estimate requires a graph file");
-  const Graph g = load(o.positional()[1]);
+  const Graph g = io::load_graph(o.positional()[1]);
   core::DiameterApproxOptions opt;
   opt.cluster.tau = static_cast<std::uint32_t>(o.get_int(
       "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
@@ -295,7 +266,6 @@ int cmd_estimate(const util::Options& o) {
     opt.cluster.policy = core::GrowingPolicy::kPartitioned;
   }
   opt.cluster.transport = parse_transport(o, opt.cluster.partition);
-  opt.cluster.placement = parse_placement(o, opt.cluster.partition);
   const RepeatOptions rep = parse_repeat(o);
   reject_unread(o);
 
@@ -332,7 +302,7 @@ int cmd_decompose(const util::Options& o) {
   const std::string out = o.get_string("out", "");
   if (out.empty()) usage("decompose requires --out");
   const std::string qout = o.get_string("quotient", "");
-  const Graph g = load(o.positional()[1]);
+  const Graph g = io::load_graph(o.positional()[1]);
   core::ClusterOptions opt;
   opt.tau = static_cast<std::uint32_t>(o.get_int(
       "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
@@ -358,7 +328,7 @@ int cmd_decompose(const util::Options& o) {
 
 int cmd_sssp(const util::Options& o) {
   if (o.positional().size() < 2) usage("sssp requires a graph file");
-  const Graph g = load(o.positional()[1]);
+  const Graph g = io::load_graph(o.positional()[1]);
   const auto source = static_cast<NodeId>(o.get_int("source", 0));
   sssp::DeltaSteppingOptions opt;
   const std::string algo = o.get_string("algorithm", "delta");
@@ -371,7 +341,6 @@ int cmd_sssp(const util::Options& o) {
   opt.rho = static_cast<std::uint64_t>(o.get_int("rho", 0));
   opt.partition = parse_partition(o);
   opt.transport = parse_transport(o, opt.partition);
-  opt.placement = parse_placement(o, opt.partition);
   const RepeatOptions rep = parse_repeat(o);
   reject_unread(o);
 
@@ -400,7 +369,7 @@ int cmd_sssp(const util::Options& o) {
 int cmd_convert(const util::Options& o) {
   if (o.positional().size() < 3) usage("convert requires IN and OUT files");
   reject_unread(o);
-  const Graph g = load(o.positional()[1]);
+  const Graph g = io::load_graph(o.positional()[1]);
   store(g, o.positional()[2]);
   std::printf("converted %s -> %s (n=%u, m=%llu)\n",
               o.positional()[1].c_str(), o.positional()[2].c_str(),
