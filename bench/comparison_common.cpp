@@ -11,7 +11,6 @@
 #include "gen/road.hpp"
 #include "gen/weights.hpp"
 #include "graph/components.hpp"
-#include "sssp/rho_stepping.hpp"
 #include "sssp/sweep.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -117,17 +116,6 @@ ComparisonRow compare_on_graph(const std::string& name, const Graph& g,
     }
   }
 
-  // --- ρ-stepping (auto ρ), same source: the whole-run kernel A/B ----------
-  {
-    sssp::DeltaSteppingOptions o;
-    o.algorithm = exec::Algorithm::kRhoStepping;
-    util::Timer t;
-    const sssp::DeltaSteppingResult r = sssp::rho_stepping(g, source, o);
-    row.rho_seconds = t.seconds();
-    row.rho_ratio = 2.0 * r.eccentricity / row.diameter_lb;
-    row.rho_stats = r.stats;
-    row.rho_used = r.rho_used;
-  }
   return row;
 }
 

@@ -20,7 +20,7 @@
 #include "graph/split_csr.hpp"
 #include "report.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/rho_stepping.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "util/bitpack.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
@@ -213,7 +213,7 @@ BENCHMARK(BM_FrontierDense)->Unit(benchmark::kMillisecond);
 
 // Whole Δ-stepping runs on the sparse-heavy road family, on a shared
 // context — one SplitCsr for all iterations — so the row times the kernel,
-// not the presplit. The denominator of the ρ-vs-Δ ratio below.
+// not the presplit.
 void BM_DeltaSteppingRoad(benchmark::State& state) {
   const Graph& g = road_graph();
   exec::Context ctx;
@@ -222,35 +222,6 @@ void BM_DeltaSteppingRoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaSteppingRoad)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// ρ-vs-Δ whole-run A/B (sssp/rho_stepping.hpp): the same two families, same
-// shared-context setup as the BM_DeltaStepping{Road,Rmat} runs above, so
-// the JSON ratio isolates the kernel policy — bucket-by-distance vs
-// batch-by-work. Road (high diameter: Δ pays rounds ∝ diameter/Δ) is where
-// ρ-stepping is expected to win; rmat (low diameter) is the guard rail.
-
-void BM_RhoSteppingRoad(benchmark::State& state) {
-  const Graph& g = road_graph();
-  sssp::DeltaSteppingOptions o;
-  o.algorithm = exec::Algorithm::kRhoStepping;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::rho_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_RhoSteppingRoad)->Unit(benchmark::kMillisecond);
-
-void BM_RhoSteppingRmat(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.algorithm = exec::Algorithm::kRhoStepping;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::rho_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_RhoSteppingRmat)->Unit(benchmark::kMillisecond);
 
 // The size-query primitive in isolation: the exact popcount scan of a dense
 // bitmap that sizes every dense frontier round (O(n/64)).
@@ -548,34 +519,13 @@ int main(int argc, char** argv) {
   if (fdense > 0.0 && fsparse > 0.0) {
     report.put("frontier_sparse_speedup", fdense / fsparse);
   }
-  const double road_on = real_time_of(reporter.runs, "BM_DeltaSteppingRoad");
-  const double rmat_on = real_time_of(reporter.runs, "BM_DeltaSteppingRmat");
   const auto road_run = sssp::delta_stepping(road_graph(), 0, {});
   report.put("road_sparse_rounds", road_run.stats.sparse_rounds);
   report.put("road_dense_rounds", road_run.stats.dense_rounds);
   const auto rmat_run = sssp::delta_stepping(rmat_graph(), 0, {});
   report.put("rmat_sparse_rounds", rmat_run.stats.sparse_rounds);
   report.put("rmat_dense_rounds", rmat_run.stats.dense_rounds);
-
-  // ρ-vs-Δ whole-run kernel A/B (> 1.0 means ρ-stepping wins) plus the ρ
-  // runs' step/round shape, per family.
-  const double road_rho = real_time_of(reporter.runs, "BM_RhoSteppingRoad");
-  if (road_on > 0.0 && road_rho > 0.0) {
-    report.put("rho_vs_delta_speedup_road", road_on / road_rho);
-  }
-  const double rmat_rho = real_time_of(reporter.runs, "BM_RhoSteppingRmat");
-  if (rmat_on > 0.0 && rmat_rho > 0.0) {
-    report.put("rho_vs_delta_speedup_rmat", rmat_on / rmat_rho);
-  }
-  sssp::DeltaSteppingOptions rho_opts;
-  rho_opts.algorithm = exec::Algorithm::kRhoStepping;
-  const auto road_rho_run = sssp::rho_stepping(road_graph(), 0, rho_opts);
-  report.put("road_rho_used", road_rho_run.rho_used);
-  report.put("road_rho_steps", road_rho_run.buckets_processed);
   report.put("road_delta_buckets", road_run.buckets_processed);
-  const auto rmat_rho_run = sssp::rho_stepping(rmat_graph(), 0, rho_opts);
-  report.put("rmat_rho_used", rmat_rho_run.rho_used);
-  report.put("rmat_rho_steps", rmat_rho_run.buckets_processed);
   report.put("rmat_delta_buckets", rmat_run.buckets_processed);
 
   // Context-reuse A/B (exec/context.hpp): reused-context CLUSTER / CL-DIAM

@@ -146,7 +146,7 @@ class Context {
       const mr::Partition& part, Weight delta) const noexcept;
 
   /// Adopts the persisted presplit sidecars of a mapped .gcsr file into the
-  /// split cache for `g` — the load-from-file warm path (DESIGN.md §13).
+  /// split cache for `g` — the load-from-file warm path (DESIGN.md §12).
   /// `g` must be a view into `m`'s mapping (m.covers(g)); anything else
   /// throws io::BinfmtError{kFingerprintMismatch}. The adopted splits are
   /// zero-copy views of the mapping (io::MappedGraph::presplit) that keep it

@@ -11,32 +11,11 @@
 // ExecOptions is the single definition; kernel option structs inherit it, so
 // one assignment configures a whole pipeline.
 
-#include <cstdint>
-
 #include "core/frontier.hpp"
 #include "mr/partition.hpp"
 #include "mr/transport.hpp"
 
 namespace gdiam::exec {
-
-/// Which stepping kernel services SSSP-shaped work (sssp::shortest_paths).
-/// Both kernels share the Frontier/RoundBuffers/SplitCsr machinery and both
-/// converge to exact distances; they differ only in how each step picks the
-/// set of nodes to settle (DESIGN.md §11):
-///
-///   * kDeltaStepping — Meyer–Sanders buckets of width Δ: settle everything
-///     below a distance threshold that advances by a fixed Δ per bucket,
-///     with light/heavy edge phases. Round count tracks diameter/Δ.
-///   * kRhoStepping — PASGAL-style batch sizing: each step extracts the ~ρ
-///     closest frontier nodes (threshold chosen by sampling the frontier's
-///     tentative distances) and relaxes *all* their edges. Step count tracks
-///     n/ρ instead of the diameter, which wins on high-diameter graphs where
-///     any fixed Δ either floods buckets or starves them.
-enum class Algorithm : std::uint8_t { kDeltaStepping, kRhoStepping };
-
-[[nodiscard]] constexpr const char* to_string(Algorithm a) noexcept {
-  return a == Algorithm::kDeltaStepping ? "delta" : "rho";
-}
 
 /// The execution knobs shared by Δ-stepping, the Δ-growing policies, and the
 /// CLUSTER / CLUSTER2 / CL-DIAM drivers. Kernel-specific option structs
@@ -57,9 +36,6 @@ struct ExecOptions {
   /// additionally reporting the genuinely-crossed wire bytes. Only the
   /// partitioned backends read it.
   mr::TransportOptions transport;
-  /// Stepping kernel for SSSP-shaped work (sssp::shortest_paths dispatches
-  /// on it). Non-SSSP kernels (growing, CLUSTER) ignore it.
-  Algorithm algorithm = Algorithm::kDeltaStepping;
 };
 
 }  // namespace gdiam::exec

@@ -42,7 +42,6 @@
 #include "sssp/bellman_ford.hpp"    // IWYU pragma: export
 #include "sssp/delta_stepping.hpp"  // IWYU pragma: export
 #include "sssp/dijkstra.hpp"   // IWYU pragma: export
-#include "sssp/rho_stepping.hpp"  // IWYU pragma: export
 #include "sssp/sweep.hpp"      // IWYU pragma: export
 #include "util/options.hpp"    // IWYU pragma: export
 #include "util/rng.hpp"        // IWYU pragma: export

@@ -1,5 +1,5 @@
 #pragma once
-// The versioned on-disk binary CSR format (.gcsr) — DESIGN.md §13.
+// The versioned on-disk binary CSR format (.gcsr) — DESIGN.md §12.
 //
 // A .gcsr file is the mmap-ready image of one gdiam::Graph plus optional
 // per-Δ presplit sidecars:

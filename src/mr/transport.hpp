@@ -95,7 +95,7 @@ enum class TransportKind { kLocal, kPool };
 /// (spawn failure, restart budget exhausted, a worker that fails
 /// deterministically). Typed so upper layers can *degrade* instead of die:
 /// the serving daemon catches TransportError and transparently re-executes
-/// the query on LocalTransport (DESIGN.md §12's degradation ladder) —
+/// the query on LocalTransport (DESIGN.md §11's degradation ladder) —
 /// anything else propagating out of a kernel is a real bug and must not be
 /// silently retried.
 class TransportError : public std::runtime_error {

@@ -15,7 +15,7 @@
 #include "core/diameter.hpp"
 #include "mr/transport.hpp"
 #include "serve/render.hpp"
-#include "sssp/rho_stepping.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "util/fault.hpp"
 #include "util/net.hpp"
 
@@ -68,15 +68,23 @@ bool field_bool(const Message& m, const std::string& key, bool fallback) {
 
 /// The shared execution fields, with the CLI's exact semantics and
 /// defaults: partitions (1), range-partition (hash), transport local|pool
-/// (mr::parse_transport_options; processes=N alone implies pool), algorithm
-/// delta|rho (delta). The removed frontier switches are refused rather than
-/// ignored, so a client still sending them learns they no longer apply.
+/// (mr::parse_transport_options; processes=N alone implies pool). Removed
+/// fields are refused rather than ignored, so a client still sending them
+/// learns they no longer apply.
 void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
-  for (const char* removed : {"adaptive", "sampled-frontier"}) {
-    if (m.has(removed)) {
-      throw std::invalid_argument(std::string("field '") + removed +
-                                  "' was removed: the frontier is always "
-                                  "adaptive and exactly sized");
+  constexpr const char* kFrontier =
+      "the frontier is always adaptive and exactly sized";
+  constexpr const char* kKernel = "sssp always runs Delta-stepping";
+  const std::pair<const char*, const char*> removed[] = {
+      {"adaptive", kFrontier},
+      {"sampled-frontier", kFrontier},
+      {"algorithm", kKernel},
+      {"rho", kKernel},
+  };
+  for (const auto& [field, why] : removed) {
+    if (m.has(field)) {
+      throw std::invalid_argument(std::string("field '") + field +
+                                  "' was removed: " + why);
     }
   }
   opt.partition.num_partitions = field_u32(m, "partitions", 1);
@@ -90,11 +98,6 @@ void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
   if (m.has("processes")) processes = field_u32(m, "processes", 2);
   opt.transport = mr::parse_transport_options(
       m.get("transport"), processes, opt.partition.num_partitions);
-  const std::string algo = m.get("algorithm");
-  if (!algo.empty() && algo != "delta" && algo != "rho") {
-    throw std::invalid_argument("algorithm must be delta or rho");
-  }
-  if (algo == "rho") opt.algorithm = exec::Algorithm::kRhoStepping;
 }
 
 bool deadline_expired(
@@ -379,7 +382,7 @@ void Server::serve_batch(std::vector<Request>& batch) {
     try {
       resp = handle_query(*entry, r.msg, /*force_local=*/false);
     } catch (const mr::TransportError& e) {
-      // Degradation ladder (DESIGN.md §12): the remote transport is
+      // Degradation ladder (DESIGN.md §11): the remote transport is
       // terminally gone — e.g. a pool group past its restart budget. The
       // transport parity contract makes a LocalTransport re-execution
       // bit-identical, so retry there instead of failing the client; only
@@ -437,7 +440,6 @@ Message Server::handle_query(GraphStore::Entry& entry, const Message& req,
   if (req.head == "sssp") {
     sssp::DeltaSteppingOptions opt;
     opt.delta = field_double(req, "delta", 0.0);
-    opt.rho = field_u64(req, "rho", 0);
     apply_exec_fields(req, opt);
     if (force_local) opt.transport = {};
     const auto source = field_u32(req, "source", 0);
@@ -447,7 +449,7 @@ Message Server::handle_query(GraphStore::Entry& entry, const Message& req,
                                   std::to_string(g.num_nodes()) + ")");
     }
     const sssp::DeltaSteppingResult r =
-        sssp::shortest_paths(g, source, opt, &entry.ctx);
+        sssp::delta_stepping(g, source, opt, &entry.ctx);
     resp.body = render_sssp(source, r);
     return resp;
   }

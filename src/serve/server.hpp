@@ -22,7 +22,7 @@
 //                     again before each batch item: an expired request gets
 //                     a `deadline_exceeded` error, never a silent drop.
 //
-// Robustness (DESIGN.md §12): every error response carries a typed `code`
+// Robustness (DESIGN.md §11): every error response carries a typed `code`
 // field (bad_request / overloaded / deadline_exceeded / shutting_down /
 // internal). Responses are written with a bounded timeout — a client that
 // stops reading is disconnected (`disconnected_slow`) instead of wedging a

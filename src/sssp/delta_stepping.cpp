@@ -9,7 +9,6 @@
 
 #include "exec/context.hpp"
 #include "mr/bsp_engine.hpp"
-#include "sssp/rho_stepping.hpp"
 #include "util/bitpack.hpp"
 #include "util/parallel.hpp"
 
@@ -175,21 +174,21 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   const bool remote = bsp != nullptr && bsp->remote_compute();
   mr::StepInputCodec pool_codec;
   if (remote) {
-    // Input frame, per shard: [u8 edge_kind][(NodeId, Weight) pairs...].
+    // Input frame, per shard: [u8 edge_kind][FrontierEntry records...].
     pool_codec.encode = [&rb](mr::ShardId s, std::vector<std::byte>& buf) {
       buf.push_back(static_cast<std::byte>(rb.pool_kind));
-      const auto& pairs = rb.by_shard[s];
-      const auto* p = reinterpret_cast<const std::byte*>(pairs.data());
-      buf.insert(buf.end(), p, p + pairs.size() * sizeof(pairs[0]));
+      const auto& entries = rb.by_shard[s];
+      const auto* p = reinterpret_cast<const std::byte*>(entries.data());
+      buf.insert(buf.end(), p, p + entries.size() * sizeof(FrontierEntry));
     };
     pool_codec.decode = [&rb](mr::ShardId s, const std::byte* p,
                               std::size_t len) {
       rb.pool_kind = static_cast<std::uint8_t>(p[0]);
       ++p;
       --len;
-      auto& pairs = rb.by_shard[s];
-      pairs.resize(len / sizeof(pairs[0]));
-      if (len != 0) std::memcpy(pairs.data(), p, len);
+      auto& entries = rb.by_shard[s];
+      entries.resize(len / sizeof(FrontierEntry));
+      if (len != 0) std::memcpy(entries.data(), p, len);
     };
   }
 
@@ -209,13 +208,13 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   // start, so the phase is one synchronous round and all counters are
   // independent of thread interleaving); returns the distinct nodes whose
   // tentative distance improved.
-  auto relax_flat =
-      [&](const std::vector<std::pair<NodeId, Weight>>& frontier,
-          EdgeKind kind) -> const std::vector<NodeId>& {
+  auto relax_flat = [&](const std::vector<FrontierEntry>& frontier,
+                        EdgeKind kind) -> const std::vector<NodeId>& {
     std::uint64_t messages = 0, updates = 0;
 #pragma omp parallel for schedule(dynamic, 64) reduction(+ : messages, updates)
     for (std::size_t f = 0; f < frontier.size(); ++f) {
-      const auto [u, du] = frontier[f];
+      const NodeId u = frontier[f].node;
+      const Weight du = frontier[f].dist;
       // Exactly the arcs of this class: no per-edge branch, no double scan.
       const std::span<const NodeId> nbr = kind == EdgeKind::kLight
                                               ? split->light_neighbors(u)
@@ -246,7 +245,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   // targets through the exchange; the apply phase folds inboxes the same
   // way. The per-phase min-reduction fixpoint — and hence every distance and
   // counter — is identical to relax_flat.
-  auto relax_bsp = [&](const std::vector<std::pair<NodeId, Weight>>& frontier,
+  auto relax_bsp = [&](const std::vector<FrontierEntry>& frontier,
                        EdgeKind kind) -> const std::vector<NodeId>& {
     const std::uint32_t k = part->num_partitions();
     // Stable-slot copy of the phase's edge class: compute reads it from
@@ -258,7 +257,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       rb.shard_updates[s] = 0;
     }
     for (const auto& e : frontier) {
-      rb.by_shard[part->owner(e.first)].push_back(e);
+      rb.by_shard[part->owner(e.node)].push_back(e);
     }
 
     // Lower the owned node v to `nd`; single-writer per shard, no atomics.
@@ -278,14 +277,15 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       // Iterate only the [light | heavy] half of the shard's permuted
       // segment.
       const CsrSplit& ss = (*shard_splits)[sh.id];
-      for (const auto& [u, du] : rb.by_shard[sh.id]) {
-        const NodeId l = part->local_id(u);
+      for (const FrontierEntry& e : rb.by_shard[sh.id]) {
+        const NodeId l = part->local_id(e.node);
         EdgeIndex lo = sh.offsets[l];
         EdgeIndex hi = sh.offsets[l + 1];
         (ck == EdgeKind::kLight ? hi : lo) = ss.split[l];
         for (EdgeIndex i = lo; i < hi; ++i) {
           ++messages;
-          const std::uint64_t nd = util::double_order_bits(du + ss.weights[i]);
+          const std::uint64_t nd =
+              util::double_order_bits(e.dist + ss.weights[i]);
           const NodeId tl = ss.targets[i];
           const NodeId v = sh.global_of_local[tl];
           if (!sh.is_ghost(tl)) {
@@ -322,7 +322,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     return rb.improved.nodes();
   };
 
-  auto relax = [&](const std::vector<std::pair<NodeId, Weight>>& frontier,
+  auto relax = [&](const std::vector<FrontierEntry>& frontier,
                    EdgeKind kind) -> const std::vector<NodeId>& {
     out.stats.relaxation_rounds++;
     const auto& changed = part != nullptr ? relax_bsp(frontier, kind)
@@ -337,10 +337,12 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     return changed;
   };
   auto snapshot = [&](const std::vector<NodeId>& nodes)
-      -> const std::vector<std::pair<NodeId, Weight>>& {
+      -> const std::vector<FrontierEntry>& {
     rb.snapshot.clear();
     rb.snapshot.reserve(nodes.size());
-    for (const NodeId v : nodes) rb.snapshot.emplace_back(v, dist_of(v));
+    for (const NodeId v : nodes) {
+      rb.snapshot.push_back(FrontierEntry{v, 0, dist_of(v)});
+    }
     return rb.snapshot;
   };
 
@@ -411,13 +413,12 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
 
 SsspDiameterApprox diameter_two_approx(const Graph& g, NodeId source,
                                        const DeltaSteppingOptions& opts) {
-  const DeltaSteppingResult r = shortest_paths(g, source, opts);
+  const DeltaSteppingResult r = delta_stepping(g, source, opts);
   SsspDiameterApprox out;
   out.eccentricity = r.eccentricity;
   out.upper_bound = 2.0 * r.eccentricity;
   out.stats = r.stats;
   out.delta_used = r.delta_used;
-  out.algorithm_used = r.algorithm_used;
   return out;
 }
 

@@ -34,7 +34,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -61,10 +61,6 @@ struct DeltaSteppingOptions : exec::ExecOptions {
   Weight delta = 0.0;
   /// Cap on light-phase iterations per bucket (safety valve; 0 = unlimited).
   std::uint64_t max_phases_per_bucket = 0;
-  /// ρ-stepping batch target (sssp/rho_stepping.hpp): each step extracts the
-  /// ~rho closest frontier nodes. Only read when `algorithm` (inherited from
-  /// exec::ExecOptions) selects kRhoStepping; 0 picks max(1024, n/64).
-  std::uint64_t rho = 0;
 };
 
 /// One cross-shard relaxation request: "lower dist of your node `target`
@@ -77,10 +73,23 @@ struct [[gnu::packed]] DistProposal {
 };
 static_assert(sizeof(DistProposal) == 12);
 
+/// One frontier node with its phase-start distance (a relaxation phase's
+/// input). The pool transport ships these records as raw bytes, so the type
+/// is trivially copyable and its padding is an explicit zeroed field: no
+/// indeterminate byte goes over a socket. 16 bytes per record, as `wire=`
+/// counts them.
+struct FrontierEntry {
+  NodeId node = 0;
+  std::uint32_t pad = 0;
+  Weight dist = 0.0;
+};
+static_assert(sizeof(FrontierEntry) == 16);
+static_assert(std::is_trivially_copyable_v<FrontierEntry>);
+
 /// Per-run pool of round-lifetime scratch: everything a Δ-stepping run
 /// touches once per bucket or phase — tentative distances, cyclic bucket
-/// slots, drained/settled/frontier lists, snapshot pairs, per-vertex stamps,
-/// the improved-set Frontier and the partitioned exchange staging —
+/// slots, drained/settled/frontier lists, frontier snapshots, per-vertex
+/// stamps, the improved-set Frontier and the partitioned exchange staging —
 /// is allocated here once per run. Owned by an exec::Context and carried
 /// across runs, steady-state runs allocate almost nothing.
 struct RoundBuffers {
@@ -93,18 +102,15 @@ struct RoundBuffers {
   std::vector<NodeId> drained;
   std::vector<NodeId> active;
   std::vector<NodeId> settled;
-  std::vector<std::pair<NodeId, Weight>> snapshot;
+  std::vector<FrontierEntry> snapshot;
   // Per-vertex stamps: settled-set dedup.
   std::vector<std::uint32_t> stamps;
   std::uint32_t stamp_round = 0;
   // Exchange scratch for the partitioned BSP backend.
   mr::Exchange<DistProposal> exchange;
-  std::vector<std::vector<std::pair<NodeId, Weight>>> by_shard;
+  std::vector<std::vector<FrontierEntry>> by_shard;
   std::vector<std::uint64_t> shard_messages;
   std::vector<std::uint64_t> shard_updates;
-  /// ρ-stepping threshold-selection scratch: the order-encoded distances of
-  /// the sampled frontier nodes (sssp/rho_stepping.cpp).
-  std::vector<std::uint64_t> sample_bits;
   /// Resident-worker (PoolTransport) input slot: the edge class of the
   /// current relaxation phase. Lives here — stable heap address — so a pool
   /// worker's frozen compute closure reads the value decode_input just
@@ -122,19 +128,14 @@ struct RoundBuffers {
   [[nodiscard]] bool stamp_once(NodeId v);
 };
 
-/// Result of one stepping-kernel run — shared by Δ-stepping and ρ-stepping
-/// (both converge to the same exact-distance fixpoint; `algorithm_used`
-/// records which kernel produced it).
+/// Result of one Δ-stepping run.
 struct DeltaSteppingResult {
   std::vector<Weight> dist;
   mr::RoundStats stats;
   NodeId farthest = kInvalidNode;  // reachable node with maximum distance
   Weight eccentricity = 0.0;
-  exec::Algorithm algorithm_used = exec::Algorithm::kDeltaStepping;
-  Weight delta_used = 0.0;  // Δ-stepping only (0 under ρ-stepping)
-  /// ρ-stepping only: the batch target the run used (0 under Δ-stepping).
-  std::uint64_t rho_used = 0;
-  /// Outer steps: buckets emptied (Δ) or extract-relax steps (ρ).
+  Weight delta_used = 0.0;
+  /// Outer steps: buckets emptied.
   std::uint64_t buckets_processed = 0;
   /// Shards the run executed on (1 = flat shared-memory kernel).
   std::uint32_t partitions_used = 1;
@@ -151,15 +152,22 @@ struct DeltaSteppingResult {
     const Graph& g, NodeId source, const DeltaSteppingOptions& opts = {},
     exec::Context* ctx = nullptr);
 
+/// Forwarding alias of delta_stepping. It exists only because the benchmark
+/// harness (perfbench/harness.cpp), whose source is fixed, calls SSSP under
+/// this name; library code calls delta_stepping.
+[[nodiscard]] inline DeltaSteppingResult shortest_paths(
+    const Graph& g, NodeId source, const DeltaSteppingOptions& opts = {},
+    exec::Context* ctx = nullptr) {
+  return delta_stepping(g, source, opts, ctx);
+}
+
 /// Diameter upper bound 2·ecc(source) plus the stats of the underlying run —
-/// the SSSP-based approximation the paper compares against. Dispatches on
-/// opts.algorithm, so the whole-run A/Bs (fig3/fig4) measure either kernel.
+/// the SSSP-based approximation the paper compares against.
 struct SsspDiameterApprox {
   Weight upper_bound = 0.0;   // 2 * eccentricity
   Weight eccentricity = 0.0;  // itself a lower bound on the diameter
   mr::RoundStats stats;
   Weight delta_used = 0.0;
-  exec::Algorithm algorithm_used = exec::Algorithm::kDeltaStepping;
 };
 
 [[nodiscard]] SsspDiameterApprox diameter_two_approx(

@@ -1,5 +1,5 @@
 #pragma once
-// Deterministic fault injection (DESIGN.md §12).
+// Deterministic fault injection (DESIGN.md §11).
 //
 // Every place gdiam talks to the OS — socket sends/recvs, worker spawns,
 // graph loads, the daemon scheduler — carries a *named fault point*: one
@@ -26,7 +26,7 @@
 // crash" (the PASGAL-style reproducibility lever, PAPERS.md).
 //
 // Spec grammar (GDIAM_FAULTS env var, `gdiamd --faults`, the daemon `fault`
-// verb, or fault::arm() in tests); sites are listed in DESIGN.md §12:
+// verb, or fault::arm() in tests); sites are listed in DESIGN.md §11:
 //
 //   spec    := point (';' point)*
 //   point   := site '=' kind [':' arg] [trigger]

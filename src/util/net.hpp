@@ -20,7 +20,7 @@
 // into a worker restart, the daemon into a dropped connection).
 //
 // write_all and read_exact carry the "net.send" / "net.recv" fault points
-// (util/fault.hpp, DESIGN.md §12): an armed schedule can fail them with an
+// (util/fault.hpp, DESIGN.md §11): an armed schedule can fail them with an
 // errno, delay them, or tear the frame mid-transfer — which is how the
 // chaos suite drives every torn-frame and peer-gone recovery path above
 // from outside, deterministically.

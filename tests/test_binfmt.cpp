@@ -1,4 +1,4 @@
-// The .gcsr lock-down suite (graph/binfmt.hpp; DESIGN.md §13).
+// The .gcsr lock-down suite (graph/binfmt.hpp; DESIGN.md §12).
 //
 // Three layers of guarantees, each pinned here:
 //

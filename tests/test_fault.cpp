@@ -1,5 +1,5 @@
 // Chaos suite for the deterministic fault-injection layer (util/fault.hpp,
-// DESIGN.md §12) and everything hardened against it: spec parsing and
+// DESIGN.md §11) and everything hardened against it: spec parsing and
 // replayable schedules, util/net framing edge cases driven from outside
 // (torn frames, short reads, peer-gone-mid-frame, zero-length payloads),
 // reap_child's SIGTERM→SIGKILL escalation, PoolTransport crash-replay under

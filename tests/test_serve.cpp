@@ -386,24 +386,38 @@ TEST(Server, ErrorResponsesForBadRequests) {
 }
 
 TEST(Server, RemovedFrontierFieldsAreBadRequests) {
-  // adaptive= and sampled-frontier= selected frontier baselines that no
-  // longer exist: a request still carrying them is refused, not served with
-  // the field silently ignored.
+  // adaptive= and sampled-frontier= selected frontier baselines, and
+  // algorithm= / rho= a second SSSP kernel, that no longer exist: a request
+  // still carrying them is refused, not served with the field silently
+  // ignored — even algorithm=delta, the value that used to be the default.
   ServerOptions sopts;
   sopts.socket_path = test_socket("removed");
   Server server(sopts);
   server.start();
-  for (const char* verb : {"estimate", "sssp"}) {
-    for (const char* field : {"adaptive", "sampled-frontier"}) {
-      Message req;
-      req.head = verb;
-      req.set("graph", "gen:path:nodes=10");
-      req.set(field, "1");
-      const Message resp = roundtrip(sopts.socket_path, req, false);
-      EXPECT_EQ(resp.head, "error") << verb << " " << field;
-      EXPECT_EQ(resp.get("code"), kErrBadRequest) << verb << " " << field;
-      EXPECT_NE(resp.get("message").find(field), std::string::npos);
-    }
+  struct Case {
+    const char* verb;
+    const char* field;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"estimate", "adaptive", "1"},  {"estimate", "sampled-frontier", "1"},
+      {"sssp", "adaptive", "1"},      {"sssp", "sampled-frontier", "1"},
+      {"sssp", "algorithm", "delta"}, {"sssp", "algorithm", "rho"},
+      {"sssp", "rho", "64"},
+  };
+  for (const Case& c : cases) {
+    Message req;
+    req.head = c.verb;
+    req.set("graph", "gen:path:nodes=10");
+    req.set(c.field, c.value);
+    const Message resp = roundtrip(sopts.socket_path, req, false);
+    EXPECT_EQ(resp.head, "error") << c.verb << " " << c.field << "=" << c.value;
+    EXPECT_EQ(resp.get("code"), kErrBadRequest) << c.verb << " " << c.field;
+    EXPECT_NE(resp.get("message").find(std::string("'") + c.field + "'"),
+              std::string::npos)
+        << resp.get("message");
+    EXPECT_NE(resp.get("message").find("was removed"), std::string::npos)
+        << resp.get("message");
   }
   server.stop();
 }

@@ -42,7 +42,6 @@
 #include "mr/partition.hpp"
 #include "mr/transport.hpp"
 #include "sssp/delta_stepping.hpp"
-#include "sssp/rho_stepping.hpp"
 #include "test_helpers.hpp"
 
 namespace gdiam::mr {
@@ -444,34 +443,6 @@ TEST_P(TransportParity, DeltaSteppingBitIdentical) {
   EXPECT_EQ(zero_wire(pool.stats), zero_wire(local.stats));
   EXPECT_EQ(pool.processes_used, p);
   EXPECT_GT(pool.stats.wire_bytes, 0u);  // compute genuinely ran elsewhere
-}
-
-TEST_P(TransportParity, RhoSteppingBitIdentical) {
-  // Same contract as the Δ kernel: the ρ-stepping threshold sample is a pure
-  // function of the frontier set, so distances AND every model counter are
-  // transport-invariant, with wire traffic nonzero exactly under the pool.
-  const auto [family, k, p] = GetParam();
-  const Graph g = test::make_family(family, 150, 42);
-
-  sssp::DeltaSteppingOptions opts;
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  opts.rho = 32;  // small target → several steps, so supersteps actually run
-  opts.partition.num_partitions = k;
-  const sssp::DeltaSteppingResult local = sssp::rho_stepping(g, 0, opts);
-  EXPECT_EQ(local.algorithm_used, exec::Algorithm::kRhoStepping);
-
-  EXPECT_EQ(local.stats.wire_bytes, 0u);
-  EXPECT_EQ(local.processes_used, 1u);
-
-  opts.transport = pool_opts(p);
-  const sssp::DeltaSteppingResult pool = sssp::rho_stepping(g, 0, opts);
-  EXPECT_EQ(pool.dist, local.dist);
-  EXPECT_EQ(pool.eccentricity, local.eccentricity);
-  EXPECT_EQ(pool.farthest, local.farthest);
-  EXPECT_EQ(pool.buckets_processed, local.buckets_processed);
-  EXPECT_EQ(zero_wire(pool.stats), zero_wire(local.stats));
-  EXPECT_EQ(pool.processes_used, p);
-  EXPECT_GT(pool.stats.wire_bytes, 0u);
 }
 
 TEST_P(TransportParity, ClusterLabelsAndStatsBitIdentical) {

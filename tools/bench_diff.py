@@ -9,8 +9,8 @@ run. This tool diffs a candidate file against a baseline:
     (default: real_time) — positive delta = candidate slower;
   * shared numeric top-level fields are reported informationally (mode
     mixes, thread counts, ...), EXCEPT fields whose name contains
-    "_speedup": those are tracked A/B ratios (split-vs-branch, ρ-vs-Δ,
-    sampled-vs-exact sizing, ...) where higher is better, and a drop
+    "_speedup": those are tracked A/B ratios (split-vs-branch,
+    context reuse, ...) where higher is better, and a drop
     beyond --tolerance is flagged like a row regression;
   * any regression beyond --tolerance is flagged; the exit code is 1
     unless --warn-only is given (CI uses --warn-only so perf drift warns

@@ -47,17 +47,15 @@ commands:
            [--repeat N] [--reuse-context | --no-reuse-context]
   decompose FILE --out CLUSTERING.gdcl [--tau T] [--seed S]
             [--quotient QUOTIENT_GRAPH_FILE]
-  sssp     FILE [--source U] [--algorithm delta|rho] [--delta D] [--rho N]
+  sssp     FILE [--source U] [--delta D]
            [--partitions K] [--range-partition]
            [--transport local|pool]
            [--processes P]
            [--repeat N] [--reuse-context | --no-reuse-context]
   convert  IN OUT
 
---algorithm picks the stepping kernel: delta (Meyer-Sanders buckets of width
---delta; the default) or rho (PASGAL-style batches of the ~N closest frontier
-nodes, --rho N, 0 = auto). Both return exact, bit-identical distances; they
-trade rounds against work differently (DESIGN.md section 11).
+sssp runs Delta-stepping (Meyer-Sanders buckets of width --delta, 0 = the
+average edge weight); distances are exact.
 
 --partitions K > 1 runs the kernels on the sharded BSP engine (K shards,
 hash partitioner unless --range-partition) and reports the cross-partition
@@ -112,6 +110,19 @@ void reject_unread(const util::Options& o) {
   if (!unread.empty()) {
     usage(("unknown flag --" + unread.front() + " for this command").c_str());
   }
+}
+
+/// --tau for estimate and decompose. It is read before the graph is loaded,
+/// so reject_unread can run first; its default depends on n, so
+/// resolve_tau fills it in after the load.
+std::optional<std::int64_t> read_tau(const util::Options& o) {
+  if (!o.has("tau")) return std::nullopt;
+  return o.get_int("tau", 0);
+}
+
+std::uint32_t resolve_tau(std::optional<std::int64_t> tau, const Graph& g) {
+  return static_cast<std::uint32_t>(tau.value_or(
+      core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
 }
 
 /// Shared --partitions / --range-partition parsing for estimate and sssp.
@@ -248,10 +259,8 @@ int cmd_stats(const util::Options& o) {
 
 int cmd_estimate(const util::Options& o) {
   if (o.positional().size() < 2) usage("estimate requires a graph file");
-  const Graph g = io::load_graph(o.positional()[1]);
+  const std::optional<std::int64_t> tau = read_tau(o);
   core::DiameterApproxOptions opt;
-  opt.cluster.tau = static_cast<std::uint32_t>(o.get_int(
-      "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
   opt.cluster.seed = static_cast<std::uint64_t>(o.get_int("seed", 1));
   opt.use_cluster2 = o.get_bool("cluster2", false);
   opt.radius_aware = !o.get_bool("classic", false);
@@ -268,6 +277,8 @@ int cmd_estimate(const util::Options& o) {
   opt.cluster.transport = parse_transport(o, opt.cluster.partition);
   const RepeatOptions rep = parse_repeat(o);
   reject_unread(o);
+  const Graph g = io::load_graph(o.positional()[1]);
+  opt.cluster.tau = resolve_tau(tau, g);
 
   // One context for every repetition (the default), or a fresh one per run
   // (--no-reuse-context): the reproducible command-line version of the
@@ -302,12 +313,12 @@ int cmd_decompose(const util::Options& o) {
   const std::string out = o.get_string("out", "");
   if (out.empty()) usage("decompose requires --out");
   const std::string qout = o.get_string("quotient", "");
-  const Graph g = io::load_graph(o.positional()[1]);
+  const std::optional<std::int64_t> tau = read_tau(o);
   core::ClusterOptions opt;
-  opt.tau = static_cast<std::uint32_t>(o.get_int(
-      "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
   opt.seed = static_cast<std::uint64_t>(o.get_int("seed", 1));
   reject_unread(o);
+  const Graph g = io::load_graph(o.positional()[1]);
+  opt.tau = resolve_tau(tau, g);
   util::Timer t;
   const core::Clustering c = core::cluster(g, opt);
   core::write_clustering_file(c, out);
@@ -328,21 +339,14 @@ int cmd_decompose(const util::Options& o) {
 
 int cmd_sssp(const util::Options& o) {
   if (o.positional().size() < 2) usage("sssp requires a graph file");
-  const Graph g = io::load_graph(o.positional()[1]);
   const auto source = static_cast<NodeId>(o.get_int("source", 0));
   sssp::DeltaSteppingOptions opt;
-  const std::string algo = o.get_string("algorithm", "delta");
-  if (algo == "rho") {
-    opt.algorithm = exec::Algorithm::kRhoStepping;
-  } else if (algo != "delta") {
-    usage("--algorithm must be delta or rho");
-  }
   opt.delta = o.get_double("delta", 0.0);
-  opt.rho = static_cast<std::uint64_t>(o.get_int("rho", 0));
   opt.partition = parse_partition(o);
   opt.transport = parse_transport(o, opt.partition);
   const RepeatOptions rep = parse_repeat(o);
   reject_unread(o);
+  const Graph g = io::load_graph(o.positional()[1]);
 
   exec::Context shared_ctx;
   warm_from_mapping(g, shared_ctx);
@@ -352,7 +356,7 @@ int cmd_sssp(const util::Options& o) {
     exec::Context fresh_ctx;
     exec::Context& ctx = rep.reuse_context ? shared_ctx : fresh_ctx;
     util::Timer t;
-    r = sssp::shortest_paths(g, source, opt, &ctx);
+    r = sssp::delta_stepping(g, source, opt, &ctx);
     if (rep.repeat > 1) {
       std::printf("run %-3u        %s  (%s context)\n", run + 1,
                   util::format_duration(t.seconds()).c_str(),
@@ -384,7 +388,7 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     // Chaos runs drive the one-shot CLI through the same fault schedules as
-    // the daemon (GDIAM_FAULTS; DESIGN.md §12).
+    // the daemon (GDIAM_FAULTS; DESIGN.md §11).
     util::fault::arm_from_env();
     const util::Options opts(argc, argv);
     if (cmd == "generate") return cmd_generate(opts);

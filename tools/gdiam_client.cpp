@@ -7,9 +7,8 @@
 //   estimate  — CL-DIAM approximation; fields: graph= (required), tau=,
 //               seed=, cluster2=, classic=, partitions=, transport=,
 //               processes=
-//   sssp      — stepping-kernel SSSP; fields: graph= (required), source=,
-//               algorithm= (delta|rho), delta=, rho=, partitions=,
-//               transport=, processes=
+//   sssp      — Δ-stepping SSSP; fields: graph= (required), source=,
+//               delta=, partitions=, transport=, processes=
 //   load      — preload a graph into the daemon's hot set
 //   stats     — serving counters and the resident-graph table
 //   shutdown  — ask the daemon to exit

@@ -1,5 +1,5 @@
 // gdiam_convert — convert any readable graph to the mmap-ready .gcsr format
-// (graph/binfmt.hpp; DESIGN.md §13), optionally persisting Δ-presplit
+// (graph/binfmt.hpp; DESIGN.md §12), optionally persisting Δ-presplit
 // sidecars so a serving cold start adopts ready-made layouts instead of
 // paying the O(m) reorder before its first query.
 //

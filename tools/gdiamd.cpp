@@ -11,7 +11,7 @@
 // Runs in the foreground until SIGINT/SIGTERM or a client `shutdown`
 // request, then prints its serving counters and exits 0.
 //
-// Fault injection (DESIGN.md §12): --faults or the GDIAM_FAULTS env var
+// Fault injection (DESIGN.md §11): --faults or the GDIAM_FAULTS env var
 // arms a deterministic fault schedule at startup; the `fault` control verb
 // re-arms or clears it at runtime.
 
