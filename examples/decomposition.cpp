@@ -7,7 +7,7 @@
 // radius distributions, then materializes the quotient graph and saves it.
 //
 // Usage:
-//   decomposition [--side 150] [--tau 16] [--out quotient.bin]
+//   decomposition [--side 150] [--tau 16] [--out quotient.gcsr]
 
 #include <algorithm>
 #include <cstdio>
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
 
   const std::string out = opts.get_string("out", "");
   if (!out.empty()) {
-    io::write_binary_file(q.graph, out);
+    io::write_gcsr(q.graph, out);
     std::printf("quotient graph written to %s\n", out.c_str());
   }
   return 0;

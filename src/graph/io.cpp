@@ -8,7 +8,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -35,55 +34,6 @@ std::ofstream open_out(const std::string& path, std::ios::openmode mode) {
   std::ofstream f(path, mode);
   if (!f) fail("cannot open '" + path + "' for writing");
   return f;
-}
-
-constexpr char kBinaryMagic[4] = {'G', 'D', 'I', 'A'};
-constexpr std::uint32_t kBinaryVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T>
-void read_pod(std::istream& in, T& v) {
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) fail("binary stream truncated");
-}
-
-template <typename T>
-void write_vec(std::ostream& out, std::span<const T> v) {
-  write_pod(out, static_cast<std::uint64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-/// Reads one length-prefixed array. `left` is the number of stream bytes not
-/// yet consumed; a length that claims more is rejected before allocating.
-template <typename T>
-std::vector<T> read_vec(std::istream& in, std::uint64_t& left) {
-  std::uint64_t size = 0;
-  read_pod(in, size);
-  left -= std::min<std::uint64_t>(left, sizeof size);
-  if (size > left / sizeof(T)) fail("binary length field exceeds the stream");
-  left -= size * sizeof(T);
-  std::vector<T> v(size);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size * sizeof(T)));
-  if (!in) fail("binary stream truncated");
-  return v;
-}
-
-/// Bytes from the stream's position to its end; fails on a stream that
-/// cannot seek, where no length field could be checked before allocating.
-std::uint64_t bytes_left(std::istream& in) {
-  const std::streampos pos = in.tellg();
-  if (pos == std::streampos(-1)) fail("binary stream is not seekable");
-  in.seekg(0, std::ios::end);
-  const std::streampos end = in.tellg();
-  in.seekg(pos);
-  if (!in || end < pos) fail("binary stream is not seekable");
-  return static_cast<std::uint64_t>(end - pos);
 }
 
 }  // namespace
@@ -261,55 +211,12 @@ void write_edge_list(const Graph& g, std::ostream& out) {
   }
 }
 
-void write_binary(const Graph& g, std::ostream& out) {
-  out.write(kBinaryMagic, sizeof kBinaryMagic);
-  write_pod(out, kBinaryVersion);
-  write_vec(out, g.offsets());
-  write_vec(out, g.targets());
-  write_vec(out, g.edge_weights());
-  if (!out) fail("binary write failed");
-}
-
-void write_binary_file(const Graph& g, const std::string& path) {
-  auto f = open_out(path, std::ios::binary);
-  write_binary(g, f);
-}
-
-Graph read_binary(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof magic) != 0) {
-    fail("bad binary magic");
-  }
-  std::uint32_t version = 0;
-  read_pod(in, version);
-  if (version != kBinaryVersion) fail("unsupported binary version");
-  std::uint64_t left = bytes_left(in);
-  auto offsets = read_vec<EdgeIndex>(in, left);
-  auto targets = read_vec<NodeId>(in, left);
-  auto weights = read_vec<Weight>(in, left);
-  if (offsets.empty() || offsets.back() != targets.size() ||
-      targets.size() != weights.size()) {
-    fail("binary CSR array sizes disagree");
-  }
-  // The constructor checks only the sizes; kernels trust every offset,
-  // target and weight, so the rest is checked before the graph leaves here.
-  Graph g(std::move(offsets), std::move(targets), std::move(weights));
-  if (!g.validate()) {
-    fail("binary CSR is invalid (offsets must start at 0 and never "
-         "decrease, targets must be < n, weights positive and finite)");
-  }
-  return g;
-}
-
-Graph read_binary_file(const std::string& path) {
-  auto f = open_in(path, std::ios::binary);
-  return read_binary(f);
-}
-
 Graph load_graph(const std::string& path) {
   if (path.ends_with(".gr")) return read_dimacs_file(path);
-  if (path.ends_with(".bin")) return read_binary_file(path);
+  if (path.ends_with(".bin")) {
+    fail("'" + path + "': the legacy .bin graph format was removed; "
+         ".gcsr is the binary format (gdiam convert writes it)");
+  }
   if (path.ends_with(".gcsr")) return open_mmap(path).graph();
   return read_edge_list_file(path);
 }

@@ -1,12 +1,12 @@
 #pragma once
 // Graph serialization.
 //
-// Three interchange formats so users can run the paper's real datasets:
+// Two interchange formats so users can run the paper's real datasets:
 //  * DIMACS ".gr" — the 9th DIMACS shortest-path challenge format used by
 //    roads-USA / roads-CAL ("p sp n m" header, "a u v w" arc lines, 1-based).
 //  * SNAP edge list — whitespace-separated "u v [w]" lines with '#' comments,
 //    the format of the SNAP/LAW social graphs (weight defaults to 1).
-//  * gdiam binary — fast load/store of the CSR arrays with a magic header.
+// The binary format is .gcsr (graph/binfmt.hpp), which load_graph maps.
 
 #include <iosfwd>
 #include <string>
@@ -42,20 +42,10 @@ void write_dimacs_file(const Graph& g, const std::string& path);
 
 void write_edge_list(const Graph& g, std::ostream& out);
 
-/// gdiam binary format (magic "GDIA", version, CSR arrays, little-endian).
-/// read_binary validates what it hands to Graph: every length field fits in
-/// the bytes left in the stream (checked before allocating, so the stream
-/// must be seekable), offsets start at 0 and never decrease, every target is
-/// a node id, every weight is positive and finite. Bad input throws
-/// std::runtime_error.
-void write_binary(const Graph& g, std::ostream& out);
-void write_binary_file(const Graph& g, const std::string& path);
-[[nodiscard]] Graph read_binary(std::istream& in);
-[[nodiscard]] Graph read_binary_file(const std::string& path);
-
-/// Reads a graph file, choosing the format by extension: .gr (DIMACS), .bin
-/// (gdiam binary), .gcsr (zero-copy mmap, graph/binfmt.hpp; the returned
-/// Graph keeps the mapping alive), anything else an edge list.
+/// Reads a graph file, choosing the format by extension: .gr (DIMACS), .gcsr
+/// (zero-copy mmap, graph/binfmt.hpp; the returned Graph keeps the mapping
+/// alive), anything else an edge list. A .bin path, the removed legacy
+/// binary format, throws std::runtime_error naming it.
 [[nodiscard]] Graph load_graph(const std::string& path);
 
 }  // namespace gdiam::io

@@ -1,6 +1,9 @@
 #include "serve/graphs.hpp"
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -18,28 +21,58 @@ namespace gdiam::serve {
 namespace {
 
 /// "gen:mesh:side=64:weights=uniform" -> {"mesh", {side: "64", ...}}.
+/// check_all_read() rejects every key no num() / str() call asked for: a
+/// typo like "sidee" would otherwise serve the default graph under the
+/// typo's cache key.
 struct GenSpec {
   std::string family;
   std::map<std::string, std::string> params;
+  mutable std::set<std::string> read;
 
   [[nodiscard]] std::string str(const std::string& key,
                                 const std::string& fallback) const {
+    read.insert(key);
     const auto it = params.find(key);
     return it != params.end() ? it->second : fallback;
   }
-  [[nodiscard]] std::uint64_t num(const std::string& key,
-                                  std::uint64_t fallback) const {
+  /// A decimal value that fits T: no sign, no blanks, no overflow.
+  template <typename T>
+  [[nodiscard]] T num(const std::string& key, T fallback) const {
+    read.insert(key);
     const auto it = params.find(key);
     if (it == params.end()) return fallback;
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(it->second, &used);
-    if (used != it->second.size()) {
-      throw std::invalid_argument("graph spec: bad number for '" + key +
-                                  "': " + it->second);
+    const std::string& text = it->second;
+    std::uint64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || end != text.data() + text.size() ||
+        v > std::numeric_limits<T>::max()) {
+      throw std::invalid_argument("graph spec: bad value for '" + key +
+                                  "': " + text);
     }
-    return v;
+    return static_cast<T>(v);
+  }
+  void check_all_read() const {
+    for (const auto& [key, value] : params) {
+      if (!read.contains(key)) {
+        throw std::invalid_argument("graph spec: unknown key '" + key +
+                                    "' for family " + family);
+      }
+    }
   }
 };
+
+/// The side of a side × side grid family. Its node count must fit NodeId
+/// too: the generators compute it in NodeId, and a wrapped count sizes the
+/// arrays too small for the ids they then write.
+NodeId grid_side(const GenSpec& gs) {
+  const auto side = gs.num<NodeId>("side", 256);
+  if (std::uint64_t{side} * side > std::numeric_limits<NodeId>::max()) {
+    throw std::invalid_argument("graph spec: side " + std::to_string(side) +
+                                " gives more nodes than a node id holds");
+  }
+  return side;
+}
 
 GenSpec parse_gen(const std::string& spec) {
   GenSpec out;
@@ -57,7 +90,11 @@ GenSpec parse_gen(const std::string& spec) {
         throw std::invalid_argument("graph spec: expected key=value, got '" +
                                     part + "'");
       }
-      out.params[part.substr(0, eq)] = part.substr(eq + 1);
+      if (!out.params.emplace(part.substr(0, eq), part.substr(eq + 1))
+               .second) {
+        throw std::invalid_argument("graph spec: duplicate key '" +
+                                    part.substr(0, eq) + "'");
+      }
     }
     if (sep == std::string::npos) break;
     pos = sep + 1;
@@ -78,33 +115,34 @@ Graph make_graph(const std::string& spec) {
   if (!spec.starts_with("gen:")) return io::load_graph(spec);
 
   const GenSpec gs = parse_gen(spec);
-  const std::uint64_t seed = gs.num("seed", 1);
+  const auto seed = gs.num<std::uint64_t>("seed", 1);
+  const std::string weights = gs.str("weights", "keep");
   util::Xoshiro256 rng(seed);
   Graph g;
   if (gs.family == "mesh") {
-    g = gen::mesh(static_cast<NodeId>(gs.num("side", 256)));
+    g = gen::mesh(grid_side(gs));
   } else if (gs.family == "torus") {
-    g = gen::torus(static_cast<NodeId>(gs.num("side", 256)));
+    g = gen::torus(grid_side(gs));
   } else if (gs.family == "rmat") {
-    g = gen::rmat(static_cast<unsigned>(gs.num("scale", 16)),
-                  static_cast<EdgeIndex>(gs.num("edge-factor", 16)), rng);
+    const auto scale = gs.num<unsigned>("scale", 16);
+    g = gen::rmat(scale, gs.num<EdgeIndex>("edge-factor", 16), rng);
   } else if (gs.family == "road") {
-    const auto side = static_cast<NodeId>(gs.num("side", 256));
+    const NodeId side = grid_side(gs);
     g = gen::road_network(side, side, rng);
   } else if (gs.family == "gnm") {
-    g = gen::gnm(static_cast<NodeId>(gs.num("nodes", 10000)),
-                 static_cast<EdgeIndex>(gs.num("edges", 30000)), rng,
+    const auto nodes = gs.num<NodeId>("nodes", 10000);
+    g = gen::gnm(nodes, gs.num<EdgeIndex>("edges", 30000), rng,
                  /*ensure_connected=*/true);
   } else if (gs.family == "path") {
-    g = gen::path(static_cast<NodeId>(gs.num("nodes", 10000)));
+    g = gen::path(gs.num<NodeId>("nodes", 10000));
   } else {
     throw std::invalid_argument("graph spec: unknown family '" + gs.family +
                                 "'");
   }
+  gs.check_all_read();
 
-  // Same weight kinds and seed derivation as `gdiam generate`, so a gen:
-  // spec reproduces a generated file bit for bit.
-  const std::string weights = gs.str("weights", "keep");
+  // The weight seed is derived from the structure seed, so one spec names
+  // one weighted graph.
   const std::uint64_t wseed = seed ^ 0xabcd;
   if (weights == "keep") return g;
   if (weights == "unit") return gen::unit_weights(g);

@@ -8,14 +8,23 @@
 //                                      "gen:mesh:side=64:weights=uniform"
 //   file:<path>                      — loaded from disk (format by
 //                                      extension, like the CLI: .gr DIMACS,
-//                                      .bin gdiam binary, .gcsr mmap binary
-//                                      CSR, else edge list)
+//                                      .gcsr mmap binary CSR, else edge
+//                                      list)
 //   <path>                           — shorthand for file:<path>
 //
-// gen: families and parameter defaults mirror `gdiam generate` exactly
-// (including the weight-seed derivation), so a spec and a generated file
-// produce bit-identical graphs — which is what lets the CI smoke diff
-// daemon responses against one-shot CLI runs on the same file.
+// gen: families and their keys (defaults in brackets):
+//   mesh | torus | road   side [256]
+//   rmat                  scale [16], edge-factor [16]
+//   gnm                   nodes [10000], edges [30000]
+//   path                  nodes [10000]
+// plus, for every family, seed [1] and weights = keep (the default) | unit
+// | uniform | int | bimodal, drawn with seed ^ 0xabcd. Parsing is strict: an
+// unknown or repeated key, or a value that is not a decimal fitting its
+// parameter (for a grid family, side² must fit a node id), throws
+// std::invalid_argument rather than serving some other graph.
+// `gdiam convert gen:... OUT` writes the graph a spec names, so the CI
+// smoke can diff daemon responses against one-shot CLI runs on the
+// converted file.
 //
 // The store keeps, per spec, the loaded Graph plus one exec::Context — the
 // warm state (pooled engines with resident pool workers, cached Δ-presplits

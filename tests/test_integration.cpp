@@ -20,9 +20,9 @@ using test::Family;
 TEST(Integration, GenerateSaveLoadEstimatePipeline) {
   // The CLI's workflow, via the library API.
   const Graph g = gen::uniform_weights(gen::mesh(40), 11);
-  const std::string path = testing::TempDir() + "/pipeline_graph.bin";
-  io::write_binary_file(g, path);
-  const Graph loaded = io::read_binary_file(path);
+  const std::string path = testing::TempDir() + "/pipeline_graph.gcsr";
+  io::write_gcsr(g, path);
+  const Graph loaded = io::load_graph(path);
 
   core::DiameterApproxOptions o;
   o.cluster.tau = 8;

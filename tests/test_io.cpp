@@ -1,9 +1,10 @@
-// Tests for graph/io.hpp: DIMACS, edge-list and binary formats, including
-// malformed-input handling and round trips on generated graphs.
+// Tests for graph/io.hpp: DIMACS and edge-list formats, including
+// malformed-input handling and round trips on generated graphs, and
+// load_graph's choice of format by extension.
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,122 +119,35 @@ TEST(EdgeList, RoundTrip) {
   EXPECT_EQ(h.num_edges(), g.num_edges());
 }
 
-TEST(Binary, RoundTripExact) {
-  const Graph g = gen::uniform_weights(
-      test::make_family(test::Family::kMeshUniform, 100, 11), 11);
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  write_binary(g, s);
-  const Graph h = read_binary(s);
-  EXPECT_TRUE(graphs_equal(g, h));
-}
-
-TEST(Binary, BadMagicThrows) {
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  s << "NOPE furthermore";
-  EXPECT_THROW((void)read_binary(s), std::runtime_error);
-}
-
-TEST(Binary, TruncatedStreamThrows) {
-  const Graph g = gen::unit_weights(test::make_family(
-      test::Family::kGnmUniform, 30, 13));
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  write_binary(g, s);
-  const std::string full = s.str();
-  std::stringstream cut(full.substr(0, full.size() / 2),
-                        std::ios::in | std::ios::binary);
-  EXPECT_THROW((void)read_binary(cut), std::runtime_error);
-}
-
-// A hand-written .bin stream: magic, version, then three length-prefixed
-// arrays. `offsets_len` overrides the offsets length field when nonzero.
-std::stringstream raw_binary(const std::vector<EdgeIndex>& offsets,
-                             const std::vector<NodeId>& targets,
-                             const std::vector<Weight>& weights,
-                             std::uint64_t offsets_len = 0) {
-  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
-  auto put = [&](const void* p, std::size_t n) {
-    s.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-  };
-  auto put_u64 = [&](std::uint64_t v) { put(&v, sizeof v); };
-  put("GDIA", 4);
-  const std::uint32_t version = 1;
-  put(&version, sizeof version);
-  put_u64(offsets_len != 0 ? offsets_len : offsets.size());
-  put(offsets.data(), offsets.size() * sizeof(EdgeIndex));
-  put_u64(targets.size());
-  put(targets.data(), targets.size() * sizeof(NodeId));
-  put_u64(weights.size());
-  put(weights.data(), weights.size() * sizeof(Weight));
-  return s;
-}
-
-// Bad .bin input must fail with the reader's own error, never reach Graph.
-void expect_io_error(std::stringstream s, const std::string& what) {
-  try {
-    (void)read_binary(s);
-    ADD_FAILURE() << "accepted a stream with " << what;
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()).rfind("gdiam::io: ", 0), 0u) << e.what();
-  }
-}
-
-TEST(Binary, HandWrittenStreamReads) {
-  auto s = raw_binary({0, 1, 2}, {1, 0}, {1.5, 1.5});
-  const Graph g = read_binary(s);
-  EXPECT_EQ(g.num_nodes(), 2u);
-  EXPECT_DOUBLE_EQ(edge_weight(g, 0, 1), 1.5);
-}
-
-TEST(Binary, RejectsTargetOutOfRange) {
-  expect_io_error(raw_binary({0, 1, 2}, {1, 4000000}, {1, 1}),
-                  "target >= n");
-}
-
-TEST(Binary, RejectsOffsetsNotStartingAtZero) {
-  expect_io_error(raw_binary({1, 1, 2}, {1, 0}, {1, 1}), "offsets[0] != 0");
-  expect_io_error(raw_binary({}, {}, {}), "no offsets");
-}
-
-TEST(Binary, RejectsDecreasingOffsets) {
-  expect_io_error(raw_binary({0, 2, 1, 2}, {1, 0}, {1, 1}),
-                  "decreasing offsets");
-}
-
-TEST(Binary, RejectsDisagreeingSizes) {
-  expect_io_error(raw_binary({0, 1, 3}, {1, 0}, {1, 1}),
-                  "offsets.back() != targets");
-  expect_io_error(raw_binary({0, 1, 2}, {1, 0}, {1}), "weights != targets");
-}
-
-TEST(Binary, RejectsNonPositiveOrNonFiniteWeights) {
-  for (const Weight w : {0.0, -1.0, kInfiniteWeight,
-                         std::numeric_limits<Weight>::quiet_NaN()}) {
-    expect_io_error(raw_binary({0, 1, 2}, {1, 0}, {w, w}),
-                    "weight " + std::to_string(w));
-  }
-}
-
-TEST(Binary, RejectsLengthFieldPastTheStream) {
-  // A length no machine can allocate: the reader must reject it from the
-  // bytes left in the stream, before sizing any array.
-  expect_io_error(raw_binary({0, 1, 2}, {1, 0}, {1, 1},
-                             std::numeric_limits<std::uint64_t>::max() / 2),
-                  "an oversized length field");
-}
-
-TEST(Files, BinaryFileRoundTrip) {
-  const Graph g = test::make_family(test::Family::kGnmUniform, 40, 17);
-  const std::string path = testing::TempDir() + "/gdiam_io_test.bin";
-  write_binary_file(g, path);
-  const Graph h = read_binary_file(path);
-  EXPECT_TRUE(graphs_equal(g, h));
-}
-
 TEST(Files, MissingFileThrows) {
-  EXPECT_THROW((void)read_binary_file("/nonexistent/gdiam.bin"),
-               std::runtime_error);
-  EXPECT_THROW((void)read_dimacs_file("/nonexistent/gdiam.gr"),
-               std::runtime_error);
+  for (const char* path : {"/nonexistent/gdiam.gcsr", "/nonexistent/gdiam.gr",
+                           "/nonexistent/gdiam.txt"}) {
+    EXPECT_THROW((void)load_graph(path), std::runtime_error) << path;
+  }
+}
+
+// The legacy .bin stream format is gone: a .bin path fails with a message
+// naming the removed format, even when the file holds a valid old stream.
+TEST(Files, LegacyBinPathNamesTheRemovedFormat) {
+  const std::string path = testing::TempDir() + "/gdiam_io_legacy.bin";
+  {
+    std::ofstream f(path, std::ios::binary);
+    const std::uint32_t version = 1;
+    f.write("GDIA", 4);
+    f.write(reinterpret_cast<const char*>(&version), sizeof version);
+  }
+  for (const std::string& p : {path, std::string("/nonexistent/g.bin")}) {
+    try {
+      (void)load_graph(p);
+      ADD_FAILURE() << "loaded " << p;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("gdiam::io: ", 0), 0u) << what;
+      EXPECT_NE(what.find("legacy .bin graph format was removed"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 }  // namespace

@@ -56,9 +56,9 @@ TEST(DeltaSteppingDetails, DeltaLargerThanEccIsBellmanFordLike) {
 }
 
 TEST(OptionsParsing, UnreadFlagsAreReported) {
-  // `gdiam sssp g.bin --source 0 --partitons 4`: the command reads every
+  // `gdiam sssp g.gcsr --source 0 --partitons 4`: the command reads every
   // flag it takes; the misspelled one stays unread and is rejected.
-  const char* argv[] = {"gdiam",       "sssp", "g.bin", "--source",
+  const char* argv[] = {"gdiam",       "sssp", "g.gcsr", "--source",
                         "0",           "--partitons", "4", "--no-adaptive"};
   const util::Options o(8, argv);
   EXPECT_EQ(o.get_int("source", 1), 0);

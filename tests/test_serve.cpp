@@ -136,6 +136,15 @@ TEST(GraphSpec, GenSpecsMatchGenerators) {
   const Graph p = make_graph("gen:path:nodes=100");
   EXPECT_EQ(p.num_nodes(), 100u);
   EXPECT_EQ(p.num_edges(), 99u);
+  // Every family's keys parse, up to the limit of each parameter's type.
+  EXPECT_EQ(make_graph("gen:torus:side=5:weights=int").num_nodes(), 25u);
+  EXPECT_EQ(make_graph("gen:road:side=6:seed=2").num_nodes(), 36u);
+  EXPECT_EQ(make_graph("gen:gnm:nodes=50:edges=100").num_nodes(), 50u);
+  EXPECT_EQ(make_graph("gen:rmat:scale=6:edge-factor=4").num_nodes(), 64u);
+  EXPECT_EQ(make_graph("gen:mesh:side=4:weights=bimodal:"
+                       "seed=18446744073709551615")
+                .num_nodes(),
+            16u);
 }
 
 TEST(GraphSpec, RejectsMalformedSpecs) {
@@ -145,6 +154,23 @@ TEST(GraphSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(make_graph("gen:mesh:side=8:weights=imaginary"),
                std::invalid_argument);
   EXPECT_THROW(make_graph("gen:mesh:side=8x"), std::invalid_argument);
+  // Strict keys: a typo must not serve the default graph or seed.
+  EXPECT_THROW(make_graph("gen:mesh:sidee=64"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:mesh:side=8:weights=uniform:seeed=3"),
+               std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:path:side=8"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:mesh:side=8:side=9"), std::invalid_argument);
+  // Values: no sign, no blanks, nothing past the parameter's type.
+  EXPECT_THROW(make_graph("gen:path:nodes=-1"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:path:nodes=+5"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:path:nodes= 5"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:path:nodes="), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:mesh:side=4294967296"), std::invalid_argument);
+  // side fits a node id but side² does not: the count would wrap.
+  EXPECT_THROW(make_graph("gen:road:side=65536"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:torus:side=65536"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:mesh:seed=18446744073709551616"),
+               std::invalid_argument);
 }
 
 TEST(GraphStore, LoadsOncePerSpecAndSnapshotsInLoadOrder) {
@@ -366,6 +392,14 @@ TEST(Server, ErrorResponsesForBadRequests) {
   bad_spec.set("graph", "gen:warp-drive");
   EXPECT_EQ(roundtrip(sopts.socket_path, bad_spec, false).head, "error");
 
+  Message typo_spec;
+  typo_spec.head = "estimate";
+  typo_spec.set("graph", "gen:mesh:sidee=64");
+  const Message typo = roundtrip(sopts.socket_path, typo_spec, false);
+  EXPECT_EQ(typo.head, "error");
+  EXPECT_EQ(typo.get("code"), kErrBadRequest);
+  EXPECT_NE(typo.get("message").find("sidee"), std::string::npos);
+
   Message bad_source;
   bad_source.head = "sssp";
   bad_source.set("graph", "gen:path:nodes=10");
@@ -381,7 +415,7 @@ TEST(Server, ErrorResponsesForBadRequests) {
   good.set("source", "9");
   EXPECT_EQ(roundtrip(sopts.socket_path, good).head, "ok");
 
-  EXPECT_EQ(server.stats().errors.load(), 4u);
+  EXPECT_EQ(server.stats().errors.load(), 5u);
   server.stop();
 }
 

@@ -253,11 +253,11 @@ TEST(Options, BooleanFlag) {
 }
 
 TEST(Options, PositionalArguments) {
-  const char* argv[] = {"prog", "input.gr", "--x=1", "out.bin"};
+  const char* argv[] = {"prog", "input.gr", "--x=1", "out.gcsr"};
   Options o(4, argv);
   ASSERT_EQ(o.positional().size(), 2u);
   EXPECT_EQ(o.positional()[0], "input.gr");
-  EXPECT_EQ(o.positional()[1], "out.bin");
+  EXPECT_EQ(o.positional()[1], "out.gcsr");
 }
 
 TEST(Options, FallbacksWhenAbsent) {

@@ -1,19 +1,19 @@
 // gdiam — command-line interface to the library.
 //
 // Subcommands:
-//   generate  — synthesize a benchmark graph and write it to a file
 //   stats     — structural statistics of a graph file
 //   estimate  — CL-DIAM diameter approximation of a graph file
+//   decompose — write a clustering (and optionally its quotient graph)
 //   sssp      — Δ-stepping SSSP / eccentricity from a source node
-//   convert   — translate between dimacs / edgelist / binary formats
+//   convert   — write a graph file from a graph file or a gen: spec
 //
-// File formats are selected by extension: .gr (DIMACS), .txt/.el (edge
-// list), .bin (gdiam binary stream), .gcsr (versioned mmap binary CSR;
-// zero-copy ingest, see tools/gdiam_convert for presplit sidecars). Examples:
-//   gdiam generate --family mesh --side 512 --weights uniform --out m.bin
-//   gdiam estimate m.bin --tau 64
+// File formats are selected by extension: .gr (DIMACS), .gcsr (versioned
+// mmap binary CSR; zero-copy ingest, optional presplit sidecars), anything
+// else an edge list. Examples:
+//   gdiam convert gen:mesh:side=512:weights=uniform m.gcsr --presplit 0.5
+//   gdiam estimate m.gcsr --tau 64
 //   gdiam sssp m.gcsr --source 0 --delta 0.5
-//   gdiam convert m.bin m.gr
+//   gdiam convert m.gcsr m.gr
 
 #include <cstdio>
 #include <cstring>
@@ -21,9 +21,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "analysis/hop.hpp"
 #include "gdiam.hpp"
+#include "serve/graphs.hpp"
 #include "serve/render.hpp"
 #include "util/fault.hpp"
 
@@ -36,9 +38,6 @@ using namespace gdiam;
   std::fprintf(stderr, R"(usage: gdiam <command> [args]
 
 commands:
-  generate --family mesh|torus|rmat|road|gnm|path --out FILE
-           [--side N] [--scale S] [--edge-factor F] [--nodes N] [--edges M]
-           [--weights unit|uniform|int|bimodal] [--seed S]
   stats    FILE [--sweeps K]
   estimate FILE [--tau T] [--seed S] [--cluster2] [--classic] [--pull]
            [--partitions K] [--range-partition]
@@ -52,7 +51,21 @@ commands:
            [--transport local|pool]
            [--processes P]
            [--repeat N] [--reuse-context | --no-reuse-context]
-  convert  IN OUT
+  convert  IN OUT [--presplit D[,D...]] [--verify]
+
+Graph files go by extension: .gr DIMACS, .gcsr mmap binary CSR, anything
+else an edge list.
+
+convert reads IN, a graph file or a generator spec, and writes OUT. A spec
+is gen:FAMILY[:KEY=VALUE...] (defaults in brackets):
+  gen:mesh, gen:torus, gen:road   side [256]
+  gen:rmat                        scale [16], edge-factor [16]
+  gen:gnm                         nodes [10000], edges [30000]
+  gen:path                        nodes [10000]
+and for every family seed [1] and weights=keep|unit|uniform|int|bimodal
+[keep]; an unknown key is an error. For a .gcsr OUT, --presplit persists the
+Delta-presplit layout for each listed Delta, and --verify re-opens the file
+and checks it bit for bit against IN.
 
 sssp runs Delta-stepping (Meyer-Sanders buckets of width --delta, 0 = the
 average edge weight); distances are exact.
@@ -80,14 +93,24 @@ A flag the command does not take is a usage error.
   std::exit(error == nullptr ? 0 : 2);
 }
 
-void store(const Graph& g, const std::string& path) {
+/// Output paths are checked with the flags, before the load: a .bin OUT
+/// would otherwise be written as an edge list named like the removed
+/// legacy binary format.
+void check_output_path(const std::string& path) {
+  if (path.ends_with(".bin")) {
+    usage(("'" + path + "': the legacy .bin graph format was removed; "
+           "write .gcsr instead").c_str());
+  }
+}
+
+/// Writes `g` in the format the path's extension names; `gcsr` lists the
+/// presplit sidecars of a .gcsr file.
+void store(const Graph& g, const std::string& path,
+           const io::GcsrWriteOptions& gcsr = {}) {
   if (path.ends_with(".gr")) {
     io::write_dimacs_file(g, path);
-  } else if (path.ends_with(".bin")) {
-    io::write_binary_file(g, path);
   } else if (path.ends_with(".gcsr")) {
-    // Bare conversion; `gdiam_convert --presplit` adds warm-start sidecars.
-    io::write_gcsr(g, path);
+    io::write_gcsr(g, path, gcsr);
   } else {
     std::ofstream f(path);
     if (!f) throw std::runtime_error("cannot open " + path);
@@ -184,53 +207,6 @@ void print_phase_stats(const exec::Context& ctx, unsigned runs) {
   }
 }
 
-Graph apply_weights(const Graph& g, const std::string& kind,
-                    std::uint64_t seed) {
-  if (kind == "unit") return gen::unit_weights(g);
-  if (kind == "uniform") return gen::uniform_weights(g, seed);
-  if (kind == "int") return gen::uniform_int_weights(g, 1, 1000, seed);
-  if (kind == "bimodal") return gen::bimodal_weights(g, 1.0, 1e-6, 0.1, seed);
-  if (kind == "keep") return g;
-  throw std::invalid_argument("unknown --weights " + kind);
-}
-
-int cmd_generate(const util::Options& o) {
-  const std::string family = o.get_string("family", "mesh");
-  const std::string out = o.get_string("out", "");
-  if (out.empty()) usage("generate requires --out");
-  const auto seed = static_cast<std::uint64_t>(o.get_int("seed", 1));
-  util::Xoshiro256 rng(seed);
-
-  Graph g;
-  if (family == "mesh") {
-    g = gen::mesh(static_cast<NodeId>(o.get_int("side", 256)));
-  } else if (family == "torus") {
-    g = gen::torus(static_cast<NodeId>(o.get_int("side", 256)));
-  } else if (family == "rmat") {
-    g = gen::rmat(static_cast<unsigned>(o.get_int("scale", 16)),
-                  static_cast<EdgeIndex>(o.get_int("edge-factor", 16)), rng);
-  } else if (family == "road") {
-    const auto side = static_cast<NodeId>(o.get_int("side", 256));
-    g = gen::road_network(side, side, rng);
-  } else if (family == "gnm") {
-    g = gen::gnm(static_cast<NodeId>(o.get_int("nodes", 10000)),
-                 static_cast<EdgeIndex>(o.get_int("edges", 30000)), rng,
-                 /*ensure_connected=*/true);
-  } else if (family == "path") {
-    g = gen::path(static_cast<NodeId>(o.get_int("nodes", 10000)));
-  } else {
-    usage("unknown --family");
-  }
-  const std::string weights = o.get_string("weights", "keep");
-  reject_unread(o);
-  g = apply_weights(g, weights, seed ^ 0xabcd);
-  store(g, out);
-  std::printf("wrote %s: n=%u m=%llu, weights [%g, %g]\n", out.c_str(),
-              g.num_nodes(), static_cast<unsigned long long>(g.num_edges()),
-              g.min_weight(), g.max_weight());
-  return 0;
-}
-
 int cmd_stats(const util::Options& o) {
   if (o.positional().size() < 2) usage("stats requires a graph file");
   const auto sweeps = static_cast<unsigned>(o.get_int("sweeps", 4));
@@ -313,6 +289,7 @@ int cmd_decompose(const util::Options& o) {
   const std::string out = o.get_string("out", "");
   if (out.empty()) usage("decompose requires --out");
   const std::string qout = o.get_string("quotient", "");
+  if (!qout.empty()) check_output_path(qout);
   const std::optional<std::int64_t> tau = read_tau(o);
   core::ClusterOptions opt;
   opt.seed = static_cast<std::uint64_t>(o.get_int("seed", 1));
@@ -370,14 +347,110 @@ int cmd_sssp(const util::Options& o) {
   return 0;
 }
 
+std::vector<Weight> parse_deltas(const std::string& arg) {
+  std::vector<Weight> out;
+  std::size_t pos = 0;
+  while (pos <= arg.size()) {
+    const std::size_t comma = arg.find(',', pos);
+    const std::size_t end = comma == std::string::npos ? arg.size() : comma;
+    const std::string part = arg.substr(pos, end - pos);
+    std::size_t used = 0;
+    double d = 0.0;
+    try {
+      d = std::stod(part, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (part.empty() || used != part.size()) {
+      usage(("--presplit: bad delta '" + part + "'").c_str());
+    }
+    out.push_back(d);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out;
+}
+
+template <typename T>
+bool bits_equal(std::span<const T> a, std::span<const T> b) {
+  if (a.size() != b.size()) return false;
+  return a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+/// The parity contract in full: mapped CSR arrays identical to the source's,
+/// and every persisted sidecar identical to a freshly computed presplit.
+bool verify_output(const Graph& src, const std::string& path) {
+  const io::MappedGraph m = io::open_mmap(path);  // full checksum pass
+  const Graph& g = m.graph();
+  if (!bits_equal(src.offsets(), g.offsets()) ||
+      !bits_equal(src.targets(), g.targets()) ||
+      !bits_equal(src.edge_weights(), g.edge_weights())) {
+    std::fprintf(stderr, "verify: mapped CSR differs from source\n");
+    return false;
+  }
+  if (src.min_weight() != g.min_weight() ||
+      src.max_weight() != g.max_weight() ||
+      src.avg_weight() != g.avg_weight()) {
+    std::fprintf(stderr, "verify: persisted weight stats differ\n");
+    return false;
+  }
+  // The mapped CSR equals the source's (checked above), so a sidecar view
+  // that validates against it is exactly a fresh presplit of the source:
+  // SplitCsr::validate checks the stable light-first permutation arc by arc.
+  for (const Weight delta : m.presplit_deltas()) {
+    const std::optional<SplitCsr> loaded = m.presplit(g, delta);
+    if (!loaded) {
+      std::fprintf(stderr, "verify: sidecar for delta=%g missing\n", delta);
+      return false;
+    }
+    if (!loaded->validate()) {
+      std::fprintf(stderr, "verify: sidecar for delta=%g differs from a"
+                           " fresh presplit\n", delta);
+      return false;
+    }
+  }
+  return true;
+}
+
 int cmd_convert(const util::Options& o) {
-  if (o.positional().size() < 3) usage("convert requires IN and OUT files");
+  if (o.positional().size() < 3) usage("convert requires IN and OUT");
+  const std::string& in = o.positional()[1];
+  const std::string& out = o.positional()[2];
+  check_output_path(out);
+  io::GcsrWriteOptions gcsr;
+  if (o.has("presplit")) {
+    gcsr.presplit_deltas = parse_deltas(o.get_string("presplit", ""));
+  }
+  const bool verify = o.get_bool("verify", false);
+  if ((o.has("presplit") || verify) && !out.ends_with(".gcsr")) {
+    usage("--presplit and --verify need a .gcsr OUT");
+  }
   reject_unread(o);
-  const Graph g = io::load_graph(o.positional()[1]);
-  store(g, o.positional()[2]);
-  std::printf("converted %s -> %s (n=%u, m=%llu)\n",
-              o.positional()[1].c_str(), o.positional()[2].c_str(),
+  util::Timer t;
+  Graph g;
+  try {
+    g = serve::make_graph(in);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());  // a malformed gen: spec
+  }
+  store(g, out, gcsr);
+  std::printf("converted %s -> %s (n=%u, m=%llu)\n", in.c_str(), out.c_str(),
               g.num_nodes(), static_cast<unsigned long long>(g.num_edges()));
+  if (out.ends_with(".gcsr")) {
+    const io::MappedGraph m = io::open_mmap(out, {.verify_checksums = false});
+    std::printf("fingerprint:   %016llx\n",
+                static_cast<unsigned long long>(m.fingerprint()));
+    for (const Weight d : m.presplit_deltas()) {
+      std::printf("presplit:      delta=%g\n", d);
+    }
+    if (verify) {
+      if (!verify_output(g, out)) return 1;
+      std::printf("verified:      CSR and %zu sidecar(s) bit-identical\n",
+                  m.presplit_deltas().size());
+    }
+  }
+  std::printf("time:          %s\n",
+              util::format_duration(t.seconds()).c_str());
   return 0;
 }
 
@@ -391,7 +464,10 @@ int main(int argc, char** argv) {
     // the daemon (GDIAM_FAULTS; DESIGN.md §11).
     util::fault::arm_from_env();
     const util::Options opts(argc, argv);
-    if (cmd == "generate") return cmd_generate(opts);
+    if (cmd == "generate") {
+      usage("generate was removed; write the graph with "
+            "gdiam convert gen:FAMILY[:KEY=VALUE...] OUT");
+    }
     if (cmd == "stats") return cmd_stats(opts);
     if (cmd == "estimate") return cmd_estimate(opts);
     if (cmd == "decompose") return cmd_decompose(opts);

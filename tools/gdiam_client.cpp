@@ -30,7 +30,7 @@
 // in its queue.
 //
 //   gdiam_client estimate graph=gen:mesh:side=64:weights=uniform tau=16
-//   gdiam_client sssp graph=file:g.bin source=5 --repeat 20 --jobs 4
+//   gdiam_client sssp graph=file:g.gcsr source=5 --repeat 20 --jobs 4
 
 #include <unistd.h>
 
@@ -59,7 +59,7 @@ using namespace gdiam;
 verbs: estimate | sssp | load | stats | shutdown | fault
 fields are passed as key=value arguments, e.g.:
   gdiam_client estimate graph=gen:mesh:side=64:weights=uniform tau=16
-  gdiam_client sssp graph=file:g.bin source=5 delta=0.5
+  gdiam_client sssp graph=file:g.gcsr source=5 delta=0.5
   gdiam_client stats
   gdiam_client fault spec="net.send=errno:EPIPE@3"
 
