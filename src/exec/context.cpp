@@ -167,6 +167,7 @@ core::GrowingEngine& Context::growing_engine(const Graph& g,
 }
 
 void Context::clear() {
+  buffers_.drop_transport();  // the sssp pool is keyed on a partition
   engines_.clear();       // engines reference partitions: drop them first
   shard_splits_.clear();  // shard splits key off partition addresses
   partitions_.clear();

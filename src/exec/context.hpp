@@ -163,7 +163,8 @@ class Context {
   // --- (b) pooled per-run scratch ------------------------------------------
 
   /// The Δ-stepping round-lifetime scratch pool (buffers are rebound per run
-  /// and keep their capacity across runs; DESIGN.md §7).
+  /// and keep their capacity across runs; DESIGN.md §7), with the
+  /// partitioned path's resident transport (DESIGN.md §10).
   [[nodiscard]] sssp::RoundBuffers& round_buffers() noexcept {
     return buffers_;
   }

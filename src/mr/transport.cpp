@@ -235,17 +235,16 @@ bool PoolTransport::send_step(const Worker& w, std::uint32_t p,
   // Fault point: errno/short fail the ship (the pool restarts the group); a
   // kill takes down the worker itself just before its inputs arrive.
   if (fault::check("pool.ship", w.pid).fail) return false;
-  std::vector<std::byte> frame;
-  frame.push_back(std::byte{'S'});
-  std::vector<std::byte> input;
+  frame_.clear();
+  frame_.push_back(std::byte{'S'});
   for (const ShardId s : launcher_.shards_of(p)) {
-    input.clear();
-    if (plan.encode_input) plan.encode_input(s, input);
-    net::append_u64(frame, input.size());
-    frame.insert(frame.end(), input.begin(), input.end());
+    input_.clear();
+    if (plan.encode_input) plan.encode_input(s, input_);
+    net::append_u64(frame_, input_.size());
+    frame_.insert(frame_.end(), input_.begin(), input_.end());
   }
-  if (!net::write_all(w.fd, frame.data(), frame.size())) return false;
-  bytes += frame.size();
+  if (!net::write_all(w.fd, frame_.data(), frame_.size())) return false;
+  bytes += frame_.size();
   return true;
 }
 
@@ -268,15 +267,14 @@ bool PoolTransport::recv_step(const Worker& w, std::uint32_t p,
                       std::to_string(status) + ")";
     return true;  // the worker is alive and told us why — don't retry
   }
-  std::vector<std::byte> row;
   for (const ShardId s : launcher_.shards_of(p)) {
     std::uint64_t row_len = 0;
     if (!net::read_u64(w.fd, row_len)) return false;
-    row.resize(row_len);
-    if (row_len != 0 && !net::read_exact(w.fd, row.data(), row_len)) {
+    row_.resize(row_len);
+    if (row_len != 0 && !net::read_exact(w.fd, row_.data(), row_len)) {
       return false;
     }
-    msgs += plan.decode_row(s, row.data(), row_len);
+    msgs += plan.decode_row(s, row_.data(), row_len);
     std::uint64_t counter = 0;
     if (!net::read_u64(w.fd, counter)) return false;
     if (!plan.shard_counters.empty()) plan.shard_counters[s] = counter;
@@ -303,33 +301,33 @@ TransportStats PoolTransport::run_compute(const SuperstepPlan& plan) {
     }
 
     // Per-group tallies are overwritten on retry, never double-counted.
-    std::vector<std::uint64_t> grp_msgs(procs, 0);
-    std::vector<std::uint64_t> grp_bytes(procs, 0);
-    std::vector<std::uint32_t> todo(procs);
-    std::iota(todo.begin(), todo.end(), 0u);
+    grp_msgs_.assign(procs, 0);
+    grp_bytes_.assign(procs, 0);
+    todo_.resize(procs);
+    std::iota(todo_.begin(), todo_.end(), 0u);
 
-    for (int attempt = 0; !todo.empty(); ++attempt) {
+    for (int attempt = 0; !todo_.empty(); ++attempt) {
       if (attempt >= 3) {
         throw std::runtime_error(
             "worker restart limit reached (group " +
-            std::to_string(todo.front()) + ")");
+            std::to_string(todo_.front()) + ")");
       }
       // Write every group's inputs before reading any reply: workers only
       // write after consuming their whole input, so ordering all sends
       // first is deadlock-free regardless of reply sizes.
-      std::vector<std::uint32_t> sent;
-      std::vector<std::uint32_t> failed;
-      for (const std::uint32_t p : todo) {
-        grp_msgs[p] = 0;
-        grp_bytes[p] = 0;
-        (send_step(workers_[p], p, plan, grp_bytes[p]) ? sent : failed)
+      sent_.clear();
+      failed_.clear();
+      for (const std::uint32_t p : todo_) {
+        grp_msgs_[p] = 0;
+        grp_bytes_[p] = 0;
+        (send_step(workers_[p], p, plan, grp_bytes_[p]) ? sent_ : failed_)
             .push_back(p);
       }
       std::string fatal;
-      for (const std::uint32_t p : sent) {
-        if (!recv_step(workers_[p], p, plan, grp_msgs[p], grp_bytes[p],
+      for (const std::uint32_t p : sent_) {
+        if (!recv_step(workers_[p], p, plan, grp_msgs_[p], grp_bytes_[p],
                        fatal)) {
-          failed.push_back(p);
+          failed_.push_back(p);
         }
         if (!fatal.empty()) throw std::runtime_error(fatal);
       }
@@ -338,19 +336,19 @@ TransportStats PoolTransport::run_compute(const SuperstepPlan& plan) {
       // Rows are a pure function of (resident layout, shipped inputs), so
       // the replayed exchange is bit-identical to what the dead worker
       // would have produced.
-      for (const std::uint32_t p : failed) {
+      for (const std::uint32_t p : failed_) {
         stop_worker(workers_[p]);
         spawn_worker(p, plan);
         ++restarts_;
         g_pool_restarts.fetch_add(1, std::memory_order_relaxed);
       }
-      todo = std::move(failed);
+      todo_.swap(failed_);
     }
 
     TransportStats out;
     for (std::uint32_t p = 0; p < procs; ++p) {
-      out.wire_messages += grp_msgs[p];
-      out.wire_bytes += grp_bytes[p];
+      out.wire_messages += grp_msgs_[p];
+      out.wire_bytes += grp_bytes_[p];
     }
     return out;
   } catch (const std::exception& e) {

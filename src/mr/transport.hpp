@@ -36,8 +36,9 @@
 //     Workers are resident: each group's worker is forked ONCE (at the first
 //     superstep, so the fork snapshot carries the resident layout:
 //     partition slice, cached presplits, the algorithm's scratch) and kept
-//     alive across supersteps — and across runs, for an engine pooled in a
-//     warm exec::Context — on a persistent socketpair. The coordinator's
+//     alive across supersteps — and across runs, for a transport a warm
+//     exec::Context holds (a pooled GrowingEngine's, or Δ-stepping's in its
+//     RoundBuffers) — on a persistent socketpair. The coordinator's
 //     state keeps evolving after the fork, so the worker's snapshot goes
 //     stale, with two matching mechanisms:
 //
@@ -315,6 +316,17 @@ class PoolTransport final : public Transport {
   std::uint64_t epoch_ = 0;  // resident_epoch the pool was forked at
   std::uint64_t spawns_ = 0;
   std::uint64_t restarts_ = 0;
+
+  // Coordinator-side per-superstep scratch, kept so its capacity carries
+  // across the thousands of supersteps of a served sssp.
+  std::vector<std::byte> frame_;  // send_step: one group's 'S' frame
+  std::vector<std::byte> input_;  // send_step: one shard's encoded input
+  std::vector<std::byte> row_;    // recv_step: one shard's staged row
+  std::vector<std::uint64_t> grp_msgs_;  // run_compute: per-group tallies
+  std::vector<std::uint64_t> grp_bytes_;
+  std::vector<std::uint32_t> todo_;  // run_compute: groups still to run
+  std::vector<std::uint32_t> sent_;
+  std::vector<std::uint32_t> failed_;
 };
 
 }  // namespace gdiam::mr

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -27,39 +26,66 @@ namespace {
 struct GenSpec {
   std::string family;
   std::map<std::string, std::string> params;
-  mutable std::set<std::string> read;
+  /// Every key a num() / str() call asked for, with the value it resolved
+  /// to: the default when the spec omits the key, numbers in plain decimal.
+  mutable std::map<std::string, std::string> resolved;
 
   [[nodiscard]] std::string str(const std::string& key,
                                 const std::string& fallback) const {
-    read.insert(key);
     const auto it = params.find(key);
-    return it != params.end() ? it->second : fallback;
+    const std::string v = it != params.end() ? it->second : fallback;
+    resolved[key] = v;
+    return v;
   }
   /// A decimal value that fits T: no sign, no blanks, no overflow.
   template <typename T>
   [[nodiscard]] T num(const std::string& key, T fallback) const {
-    read.insert(key);
     const auto it = params.find(key);
-    if (it == params.end()) return fallback;
-    const std::string& text = it->second;
-    std::uint64_t v = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc{} || end != text.data() + text.size() ||
-        v > std::numeric_limits<T>::max()) {
-      throw std::invalid_argument("graph spec: bad value for '" + key +
-                                  "': " + text);
+    T v = fallback;
+    if (it != params.end()) {
+      const std::string& text = it->second;
+      std::uint64_t parsed = 0;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), parsed);
+      if (ec != std::errc{} || end != text.data() + text.size() ||
+          parsed > std::numeric_limits<T>::max()) {
+        throw std::invalid_argument("graph spec: bad value for '" + key +
+                                    "': " + text);
+      }
+      v = static_cast<T>(parsed);
     }
-    return static_cast<T>(v);
+    resolved[key] = std::to_string(v);
+    return v;
   }
   void check_all_read() const {
     for (const auto& [key, value] : params) {
-      if (!read.contains(key)) {
+      if (!resolved.contains(key)) {
         throw std::invalid_argument("graph spec: unknown key '" + key +
                                     "' for family " + family);
       }
     }
   }
+  /// The spec every spelling of this graph resolves to: the family, then
+  /// each key it read in key order with its resolved value.
+  [[nodiscard]] std::string canonical() const {
+    std::string out = "gen:" + family;
+    for (const auto& [key, value] : resolved) out += ":" + key + "=" + value;
+    return out;
+  }
+};
+
+/// A gen: spec with every parameter of its family read and checked, so one
+/// family table serves both building the graph and naming it.
+struct GenParams {
+  std::string family;
+  std::string canonical;  // GenSpec::canonical()
+  std::uint64_t seed = 1;
+  std::string weights;
+  NodeId side = 0;            // mesh, torus, road
+  unsigned scale = 0;         // rmat
+  EdgeIndex edge_factor = 0;  // rmat
+  NodeId nodes = 0;           // gnm, path
+  EdgeIndex edges = 0;        // gnm
 };
 
 /// The side of a side × side grid family. Its node count must fit NodeId
@@ -105,6 +131,31 @@ GenSpec parse_gen(const std::string& spec) {
   return out;
 }
 
+GenParams resolve_gen(const std::string& spec) {
+  const GenSpec gs = parse_gen(spec);
+  GenParams p;
+  p.family = gs.family;
+  p.seed = gs.num<std::uint64_t>("seed", 1);
+  p.weights = gs.str("weights", "keep");
+  if (gs.family == "mesh" || gs.family == "torus" || gs.family == "road") {
+    p.side = grid_side(gs);
+  } else if (gs.family == "rmat") {
+    p.scale = gs.num<unsigned>("scale", 16);
+    p.edge_factor = gs.num<EdgeIndex>("edge-factor", 16);
+  } else if (gs.family == "gnm") {
+    p.nodes = gs.num<NodeId>("nodes", 10000);
+    p.edges = gs.num<EdgeIndex>("edges", 30000);
+  } else if (gs.family == "path") {
+    p.nodes = gs.num<NodeId>("nodes", 10000);
+  } else {
+    throw std::invalid_argument("graph spec: unknown family '" + gs.family +
+                                "'");
+  }
+  gs.check_all_read();
+  p.canonical = gs.canonical();
+  return p;
+}
+
 }  // namespace
 
 Graph make_graph(const std::string& spec) {
@@ -114,51 +165,48 @@ Graph make_graph(const std::string& spec) {
   if (spec.starts_with("file:")) return io::load_graph(spec.substr(5));
   if (!spec.starts_with("gen:")) return io::load_graph(spec);
 
-  const GenSpec gs = parse_gen(spec);
-  const auto seed = gs.num<std::uint64_t>("seed", 1);
-  const std::string weights = gs.str("weights", "keep");
-  util::Xoshiro256 rng(seed);
+  const GenParams p = resolve_gen(spec);
+  util::Xoshiro256 rng(p.seed);
   Graph g;
-  if (gs.family == "mesh") {
-    g = gen::mesh(grid_side(gs));
-  } else if (gs.family == "torus") {
-    g = gen::torus(grid_side(gs));
-  } else if (gs.family == "rmat") {
-    const auto scale = gs.num<unsigned>("scale", 16);
-    g = gen::rmat(scale, gs.num<EdgeIndex>("edge-factor", 16), rng);
-  } else if (gs.family == "road") {
-    const NodeId side = grid_side(gs);
-    g = gen::road_network(side, side, rng);
-  } else if (gs.family == "gnm") {
-    const auto nodes = gs.num<NodeId>("nodes", 10000);
-    g = gen::gnm(nodes, gs.num<EdgeIndex>("edges", 30000), rng,
-                 /*ensure_connected=*/true);
-  } else if (gs.family == "path") {
-    g = gen::path(gs.num<NodeId>("nodes", 10000));
-  } else {
-    throw std::invalid_argument("graph spec: unknown family '" + gs.family +
-                                "'");
+  if (p.family == "mesh") {
+    g = gen::mesh(p.side);
+  } else if (p.family == "torus") {
+    g = gen::torus(p.side);
+  } else if (p.family == "rmat") {
+    g = gen::rmat(p.scale, p.edge_factor, rng);
+  } else if (p.family == "road") {
+    g = gen::road_network(p.side, p.side, rng);
+  } else if (p.family == "gnm") {
+    g = gen::gnm(p.nodes, p.edges, rng, /*ensure_connected=*/true);
+  } else {  // path: resolve_gen rejected every other family
+    g = gen::path(p.nodes);
   }
-  gs.check_all_read();
 
   // The weight seed is derived from the structure seed, so one spec names
   // one weighted graph.
-  const std::uint64_t wseed = seed ^ 0xabcd;
-  if (weights == "keep") return g;
-  if (weights == "unit") return gen::unit_weights(g);
-  if (weights == "uniform") return gen::uniform_weights(g, wseed);
-  if (weights == "int") return gen::uniform_int_weights(g, 1, 1000, wseed);
-  if (weights == "bimodal") {
+  const std::uint64_t wseed = p.seed ^ 0xabcd;
+  if (p.weights == "keep") return g;
+  if (p.weights == "unit") return gen::unit_weights(g);
+  if (p.weights == "uniform") return gen::uniform_weights(g, wseed);
+  if (p.weights == "int") return gen::uniform_int_weights(g, 1, 1000, wseed);
+  if (p.weights == "bimodal") {
     return gen::bimodal_weights(g, 1.0, 1e-6, 0.1, wseed);
   }
-  throw std::invalid_argument("graph spec: unknown weights '" + weights + "'");
+  throw std::invalid_argument("graph spec: unknown weights '" + p.weights +
+                              "'");
+}
+
+std::string canonical_spec(const std::string& spec) {
+  if (spec.starts_with("gen:")) return resolve_gen(spec).canonical;
+  return spec.starts_with("file:") ? spec : "file:" + spec;
 }
 
 GraphStore::Entry& GraphStore::get(const std::string& spec) {
+  const std::string key = canonical_spec(spec);  // throws on a bad gen: spec
   Entry* e = nullptr;
   {
     const std::lock_guard<std::mutex> lk(mu_);
-    auto& slot = entries_[spec];
+    auto& slot = entries_[key];
     if (slot == nullptr) {
       slot = std::make_unique<Entry>();
       slot->spec = spec;

@@ -1,8 +1,9 @@
 #pragma once
 // Graph specs and the daemon's hot-graph store (DESIGN.md §10).
 //
-// A *graph spec* is the string a client names a graph by — the GraphStore's
-// cache key and the batching key of the request scheduler:
+// A *graph spec* is the string a client names a graph by — the batching key
+// of the request scheduler, and, canonicalised (canonical_spec), the
+// GraphStore's cache key:
 //
 //   gen:<family>:<key>=<value>:...   — synthesized, e.g.
 //                                      "gen:mesh:side=64:weights=uniform"
@@ -50,13 +51,22 @@ namespace gdiam::serve {
 /// specs and whatever the graph/io layer throws on unreadable files.
 [[nodiscard]] Graph make_graph(const std::string& spec);
 
-/// The daemon's resident graphs, keyed by spec. Entries are created on
-/// first use and live until the store dies — a serving daemon's working set
-/// is the graphs it is asked about.
+/// The one name of the graph a spec names: a gen: spec becomes its family
+/// plus every key the family reads, in key order, with defaults filled in
+/// and numbers in plain decimal — so "gen:mesh:side=064" and
+/// "gen:mesh:seed=1:side=64" both read "gen:mesh:seed=1:side=64:weights=keep"
+/// — and a path becomes "file:<path>". Throws std::invalid_argument on a
+/// malformed gen: spec; reads no file.
+[[nodiscard]] std::string canonical_spec(const std::string& spec);
+
+/// The daemon's resident graphs, keyed by canonical_spec, so every spelling
+/// of one graph shares one entry (and one warm context with its resident
+/// pools). Entries are created on first use and live until the store dies —
+/// a serving daemon's working set is the graphs it is asked about.
 class GraphStore {
  public:
   struct Entry {
-    std::string spec;
+    std::string spec;  // the spelling the entry was first requested under
     Graph graph;
     exec::Context ctx;
     /// Held while computing on `ctx` (contexts serve one thread at a time).
@@ -68,9 +78,10 @@ class GraphStore {
     std::atomic<std::uint64_t> served{0};
   };
 
-  /// Returns the entry for `spec`, loading the graph on first use. The
-  /// reference stays valid for the store's lifetime. Concurrent callers of
-  /// the same cold spec block until one load completes.
+  /// Returns the entry for `spec`'s canonical form, loading the graph on
+  /// first use. The reference stays valid for the store's lifetime.
+  /// Concurrent callers of the same cold spec block until one load
+  /// completes.
   Entry& get(const std::string& spec);
 
   /// Specs currently resident, in load order, with their served counts —

@@ -471,8 +471,8 @@ Message Server::handle_stats() {
   resp.set("disconnected_slow",
            std::to_string(stats_.disconnected_slow.load()));
   // Worker forks and crash restarts of every pool in the daemon. Pooled
-  // estimates on a warm graph fork none (a pooled sssp still forks its own
-  // workers per request), so spawns rising across estimates betray
+  // estimates and sssp requests on a warm graph fork none (an sssp at a new
+  // delta= re-forks its pool once), so spawns rising across repeats betray
   // re-snapshots.
   const mr::PoolTotals pools = mr::pool_totals();
   resp.set("pool_spawns", std::to_string(pools.spawns));

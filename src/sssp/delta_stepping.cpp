@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -100,6 +100,27 @@ bool RoundBuffers::stamp_once(NodeId v) {
   return true;
 }
 
+mr::Transport& RoundBuffers::transport_for(const mr::Partition& part,
+                                           const mr::TransportOptions& opts,
+                                           Weight delta) {
+  if (transport == nullptr || transport_part != &part ||
+      transport_opts != opts) {
+    drop_transport();  // stop the old pool's workers before forking new ones
+    transport = mr::Launcher::make_transport(opts, part.num_partitions());
+    transport_part = &part;
+    transport_opts = opts;
+  } else if (delta != pool_delta) {
+    ++pool_epoch;
+  }
+  pool_delta = delta;
+  return *transport;
+}
+
+void RoundBuffers::drop_transport() noexcept {
+  transport.reset();
+  transport_part = nullptr;
+}
+
 DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
                                    const DeltaSteppingOptions& opts,
                                    exec::Context* ctx) {
@@ -138,17 +159,17 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
 
   // Partitioned BSP backend (opts.partition.num_partitions > 1): relaxation
   // phases run as supersteps on K shards instead of one flat loop. The shard
-  // layout is cached in the context, the staging scratch in RoundBuffers.
-  // The transport decides where the supersteps' compute runs (mr/transport
-  // .hpp): in-process threads, or opts.transport.processes forked workers.
+  // layout is cached in the context; the staging scratch and the transport
+  // live in RoundBuffers. The transport decides where the supersteps'
+  // compute runs (mr/transport.hpp): in-process threads, or
+  // opts.transport.processes worker processes, resident across the runs of
+  // a warm context.
   const mr::Partition* part = nullptr;
-  std::unique_ptr<mr::Transport> transport;
-  std::unique_ptr<mr::BspEngine> bsp;
+  std::optional<mr::BspEngine> bsp;
   if (opts.partition.num_partitions > 1 && n > 0) {
     part = &C.partition_for(g, opts.partition);
-    transport =
-        mr::Launcher::make_transport(opts.transport, part->num_partitions());
-    bsp = std::make_unique<mr::BspEngine>(*part, transport.get());
+    mr::Transport& transport = rb.transport_for(*part, opts.transport, delta);
+    bsp.emplace(*part, &transport);
     const std::uint32_t k = part->num_partitions();
     if (rb.exchange.num_partitions() != k) {
       rb.exchange.resize(k);
@@ -159,21 +180,29 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     rb.shard_messages.assign(k, 0);
     rb.shard_updates.assign(k, 0);
     out.partitions_used = k;
-    out.processes_used = transport->processes();
+    out.processes_used = transport.processes();
   }
   // Under a remote transport a shard's compute runs in a forked worker whose
   // writes to dist_bits (and every other coordinator array) are lost: owned
   // lowerings are staged as loopback records and replayed — in the identical
-  // order — by the apply phase (DESIGN.md §9). The workers are forked once
-  // and keep the closures below frozen; the per-phase inputs they need — the
-  // frontier pairs routed to their shards and the phase's edge class — are
-  // shipped through the StepInputCodec into stable RoundBuffers storage
-  // instead. Everything else compute reads (partition slice, presplit
-  // layout, Δ) is fixed for the whole run, so the fork-time snapshot stays
-  // valid and the codec epoch is constant.
-  const bool remote = bsp != nullptr && bsp->remote_compute();
+  // order — by the apply phase (DESIGN.md §9).
+  //
+  // The frozen-closure contract (DESIGN.md §10). The workers fork at the
+  // first superstep of some earlier run on this context and keep executing
+  // *that* run's closures, frozen in their snapshot, for every later run.
+  // So the compute and decode closures below may read only:
+  //   - the partition slice (`part`): the transport's key, so a worker never
+  //     outlives the partition it was forked with;
+  //   - the shard presplit for the fork-time Δ (`shard_splits`): in the
+  //     snapshot, and the epoch moves whenever a run's Δ differs;
+  //   - the per-phase inputs shipped into stable RoundBuffers storage
+  //     through the StepInputCodec: the frontier pairs routed to each shard
+  //     (`by_shard`) and the phase's edge class (`pool_kind`).
+  // Nothing else from the frame of a later call reaches a worker.
+  const bool remote = bsp && bsp->remote_compute();
   mr::StepInputCodec pool_codec;
   if (remote) {
+    pool_codec.epoch = rb.pool_epoch;
     // Input frame, per shard: [u8 edge_kind][FrontierEntry records...].
     pool_codec.encode = [&rb](mr::ShardId s, std::vector<std::byte>& buf) {
       buf.push_back(static_cast<std::byte>(rb.pool_kind));

@@ -44,6 +44,7 @@
 #include "mr/exchange.hpp"
 #include "mr/partition.hpp"
 #include "mr/stats.hpp"
+#include "mr/transport.hpp"
 
 namespace gdiam::exec {
 class Context;
@@ -91,7 +92,9 @@ static_assert(std::is_trivially_copyable_v<FrontierEntry>);
 /// slots, drained/settled/frontier lists, frontier snapshots, per-vertex
 /// stamps, the improved-set Frontier and the partitioned exchange staging —
 /// is allocated here once per run. Owned by an exec::Context and carried
-/// across runs, steady-state runs allocate almost nothing.
+/// across runs, steady-state runs allocate almost nothing. The partitioned
+/// path's transport lives here too, so a pooled run on a warm context
+/// reuses the resident workers an earlier run forked (DESIGN.md §10).
 struct RoundBuffers {
   core::Frontier improved;               // per-phase improved-node set
   std::vector<std::uint64_t> dist_bits;  // order-encoded tentative distances
@@ -116,9 +119,28 @@ struct RoundBuffers {
   /// worker's frozen compute closure reads the value decode_input just
   /// shipped, not the stale fork-time copy of a stack variable.
   std::uint8_t pool_kind = 0;
+  /// The partitioned path's transport, kept across runs with the key it was
+  /// built for (transport_for).
+  std::unique_ptr<mr::Transport> transport;
+  const mr::Partition* transport_part = nullptr;
+  mr::TransportOptions transport_opts;
+  /// The Δ the resident pool workers were forked at and its epoch (the
+  /// runs' StepInputCodec::epoch): a new Δ means a presplit the workers'
+  /// snapshot lacks, so the epoch moves and the pool respawns them.
+  Weight pool_delta = 0.0;
+  std::uint64_t pool_epoch = 0;
 
   /// Rebinds the pool to an n-vertex run, keeping every buffer's capacity.
   void reset(NodeId n, const core::FrontierOptions& opts);
+
+  /// The transport for a run on `part` under `opts` at bucket width
+  /// `delta`: the resident one while (part, opts) match the key it was
+  /// built for, else a new one (the old pool's workers stop first). Bumps
+  /// pool_epoch when `delta` differs from the Δ the workers were forked at.
+  mr::Transport& transport_for(const mr::Partition& part,
+                               const mr::TransportOptions& opts, Weight delta);
+  /// Stops and drops the resident transport (its workers included).
+  void drop_transport() noexcept;
 
   /// Opens a fresh stamp generation (start of a bucket): every vertex reads
   /// as unstamped without touching the array.

@@ -27,6 +27,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -38,6 +39,7 @@
 #include "mr/transport.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "test_helpers.hpp"
 #include "util/fault.hpp"
 #include "util/net.hpp"
@@ -418,6 +420,70 @@ TEST(TransportChaos, WorkerKillOnBlockedWaveStepReplaysClusterBitIdentical) {
   EXPECT_EQ(crashed.stages, clean.stages);
   EXPECT_EQ(crashed.stats, clean.stats);
   test::expect_cluster_matches(crashed, ref.clustering);
+}
+
+// Δ-stepping's pool stays resident in a warm context's RoundBuffers, so a
+// worker forked in one run can die in a later one. Its stand-in forks from
+// the later run's frame and replays just the lost step.
+TEST(TransportChaos, WorkerKillInSecondWarmSsspReplaysBitIdentical) {
+  const Graph g = test::make_family(Family::kGnmUniform, 200, 13);
+  sssp::DeltaSteppingOptions o;
+  o.partition.num_partitions = 4;
+  o.transport = {.kind = mr::TransportKind::kPool, .processes = 2};
+  const NodeId s1 = 0;
+  const NodeId s2 = g.num_nodes() / 2;
+  exec::Context clean_ctx;
+  const auto clean1 = sssp::delta_stepping(g, s1, o, &clean_ctx);
+  const auto clean2 = sssp::delta_stepping(g, s2, o, &clean_ctx);
+
+  // Every superstep (one per relaxation round) reaches both workers, which
+  // fork at run 1's first step with a zero hit count: kill@(steps1 + j)
+  // fires in both on run 2's step j. The stand-ins count from zero again
+  // and would die on run 2's step steps1 + 2j - 1, past its end for this j.
+  const std::uint64_t steps1 = clean1.stats.relaxation_rounds;
+  const std::uint64_t j = clean2.stats.relaxation_rounds / 2 + 1;
+  const ScopedFaults f("pool.worker.step=kill@" + std::to_string(steps1 + j));
+  exec::Context ctx;
+  const mr::PoolTotals t0 = mr::pool_totals();
+  const auto run1 = sssp::delta_stepping(g, s1, o, &ctx);
+  const mr::PoolTotals t1 = mr::pool_totals();
+  const auto run2 = sssp::delta_stepping(g, s2, o, &ctx);
+  const mr::PoolTotals t2 = mr::pool_totals();
+
+  EXPECT_EQ(t1.spawns - t0.spawns, 2u);
+  EXPECT_EQ(t1.restarts, t0.restarts);  // run 1 ran clean on its own forks
+  EXPECT_EQ(t2.restarts - t1.restarts, 2u);  // both died once, in run 2
+  EXPECT_EQ(t2.spawns - t1.spawns, 2u);      // only their stand-ins forked
+  for (const auto& [got, want] : {std::pair{&run1, &clean1},
+                                  std::pair{&run2, &clean2}}) {
+    EXPECT_EQ(got->dist, want->dist);
+    EXPECT_EQ(got->farthest, want->farthest);
+    EXPECT_EQ(got->buckets_processed, want->buckets_processed);
+    EXPECT_EQ(got->stats, want->stats);  // wire counters included
+  }
+}
+
+// A run that ends in TransportError shuts its pool down; the next call on
+// the same context must fork a fresh wave, not write to the dead sockets.
+TEST(TransportChaos, SsspAfterTransportErrorRespawnsOnTheSameContext) {
+  const Graph g = test::make_family(Family::kGnmUniform, 200, 13);
+  sssp::DeltaSteppingOptions o;
+  o.partition.num_partitions = 4;
+  o.transport = {.kind = mr::TransportKind::kPool, .processes = 2};
+  exec::Context ctx;
+  const auto warm = sssp::delta_stepping(g, 0, o, &ctx);
+  {
+    // Every ship fails: the replays exhaust the restart budget.
+    const ScopedFaults f("pool.ship=errno:EPIPE");
+    EXPECT_THROW((void)sssp::delta_stepping(g, 0, o, &ctx),
+                 mr::TransportError);
+  }
+  const mr::PoolTotals t = mr::pool_totals();
+  const auto again = sssp::delta_stepping(g, 0, o, &ctx);
+  EXPECT_EQ(mr::pool_totals().spawns - t.spawns, 2u);  // one clean wave
+  EXPECT_EQ(mr::pool_totals().restarts, t.restarts);
+  EXPECT_EQ(again.dist, warm.dist);
+  EXPECT_EQ(again.stats, warm.stats);
 }
 
 TEST(TransportChaos, PoolSpawnFailureIsATypedTransportError) {

@@ -190,6 +190,21 @@ TEST(GraphStore, LoadsOncePerSpecAndSnapshotsInLoadOrder) {
   (void)b;
 }
 
+TEST(GraphStore, SpellingsOfOneGraphShareOneEntry) {
+  GraphStore store;
+  GraphStore::Entry& a = store.get("gen:mesh:side=64");
+  EXPECT_EQ(&store.get("gen:mesh:side=64:seed=1"), &a);
+  EXPECT_EQ(&store.get("gen:mesh:seed=1:side=64"), &a);
+  EXPECT_EQ(&store.get("gen:mesh:side=064"), &a);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.snapshot()[0].spec, "gen:mesh:side=64");  // first spelling
+  EXPECT_EQ(canonical_spec("gen:mesh:side=064"),
+            "gen:mesh:seed=1:side=64:weights=keep");
+  EXPECT_NE(&store.get("gen:mesh:side=64:seed=2"), &a);  // another graph
+  EXPECT_EQ(canonical_spec("/tmp/g.gcsr"), "file:/tmp/g.gcsr");
+  EXPECT_EQ(canonical_spec("file:/tmp/g.gcsr"), "file:/tmp/g.gcsr");
+}
+
 TEST(GraphStore, FailedLoadIsRetryableNotCached) {
   GraphStore store;
   EXPECT_THROW(store.get("gen:no-such-family"), std::invalid_argument);
@@ -268,6 +283,57 @@ TEST(Server, WarmRepeatsAreIdenticalAndPoolTransportServes) {
   EXPECT_EQ(after_warm.get("pool_restarts"), after_cold.get("pool_restarts"));
   EXPECT_NE(cold.body.find("wire="), std::string::npos)
       << "pool transport must report wire traffic";
+}
+
+TEST(Server, WarmPooledSsspForksNoWorkers) {
+  ServerOptions sopts;
+  sopts.socket_path = test_socket("warm_sssp");
+  Server server(sopts);
+  server.start();
+
+  Message sp;
+  sp.head = "sssp";
+  sp.set("graph", "gen:mesh:side=32:weights=uniform:seed=7");
+  sp.set("source", "5");
+  sp.set("partitions", "4");
+  sp.set("transport", "pool");
+  sp.set("processes", "2");
+  Message stats;
+  stats.head = "stats";
+  const Message cold = roundtrip(sopts.socket_path, sp);
+  const Message after_cold = roundtrip(sopts.socket_path, stats);
+  const Message warm1 = roundtrip(sopts.socket_path, sp);
+  sp.set("source", "900");
+  const Message warm2 = roundtrip(sopts.socket_path, sp);
+  const Message after_warm = roundtrip(sopts.socket_path, stats);
+  server.stop();
+  EXPECT_EQ(warm1.body, cold.body);
+  EXPECT_NE(warm2.body, cold.body);  // another source, served warm
+  // The cold request forked the context's sssp pool; warm ones reuse it,
+  // from any source.
+  EXPECT_NE(after_cold.get("pool_spawns"), "0");
+  EXPECT_EQ(after_warm.get("pool_spawns"), after_cold.get("pool_spawns"));
+  EXPECT_EQ(after_warm.get("pool_restarts"), after_cold.get("pool_restarts"));
+  EXPECT_NE(cold.body.find("wire="), std::string::npos);
+}
+
+TEST(Server, SpellingsOfOneGraphAreOneStatsEntry) {
+  ServerOptions sopts;
+  sopts.socket_path = test_socket("spellings");
+  Server server(sopts);
+  server.start();
+  for (const char* spec : {"gen:mesh:side=64", "gen:mesh:side=64:seed=1",
+                           "gen:mesh:seed=1:side=64", "gen:mesh:side=064"}) {
+    Message load;
+    load.head = "load";
+    load.set("graph", spec);
+    EXPECT_EQ(roundtrip(sopts.socket_path, load).get("nodes"), "4096");
+  }
+  Message stats;
+  stats.head = "stats";
+  const Message s = roundtrip(sopts.socket_path, stats);
+  server.stop();
+  EXPECT_EQ(s.get("graphs"), "1");
 }
 
 TEST(Server, ConcurrentClientsGetMatchedResponses) {

@@ -10,18 +10,20 @@
 // resident epoch (per superstep without an input codec), per-superstep
 // inputs and shard counters crossing the socket, a SIGKILLed worker
 // restarted mid-run with bit-identical results, workers that stay resident
-// across whole warm CLUSTER/CLUSTER2 runs (PoolResidency) and a worker
-// compute that may enter an OpenMP region without hanging.
+// across whole warm CLUSTER/CLUSTER2 and Δ-stepping runs (PoolResidency)
+// and a worker compute that may enter an OpenMP region without hanging.
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <omp.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstddef>
 #include <cstring>
 #include <optional>
@@ -654,6 +656,92 @@ TEST(PoolResidency, ColdContextRespawnsOncePerNewDelta) {
   expect_same_clustering(warm, cold);
   EXPECT_EQ(pool->spawns(), 2u * deltas);  // every Δ cached: no re-fork
   EXPECT_EQ(pool->restarts(), 0u);
+}
+
+// Δ-stepping's pool lives in the context's RoundBuffers, keyed on (shard
+// layout, transport options), with Δ as its resident epoch: warm runs from
+// new sources fork nothing, a new Δ re-forks once, a new K builds a new
+// pool, and a context-free call stops its workers before it returns.
+
+/// Distances and every counter but the wire ones.
+void expect_same_sssp(const sssp::DeltaSteppingResult& got,
+                      const sssp::DeltaSteppingResult& want) {
+  EXPECT_EQ(got.dist, want.dist);
+  EXPECT_EQ(got.eccentricity, want.eccentricity);
+  EXPECT_EQ(got.farthest, want.farthest);
+  EXPECT_EQ(got.buckets_processed, want.buckets_processed);
+  EXPECT_EQ(zero_wire(got.stats), zero_wire(want.stats));
+}
+
+/// True when this process has no child, running or unreaped.
+bool no_children() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+TEST(PoolResidency, DeltaSteppingWarmRunsForkNoWorkers) {
+  constexpr std::uint32_t kProcs = 2;
+  for (const Family family : test::all_families()) {
+    SCOPED_TRACE(test::family_name(family));
+    const Graph g = test::make_family(family, 150, 42);
+    const NodeId n = g.num_nodes();
+    sssp::DeltaSteppingOptions lo;
+    lo.partition.num_partitions = 4;
+    sssp::DeltaSteppingOptions po = lo;
+    po.transport = pool_opts(kProcs);
+    exec::Context ctx;
+    exec::Context local_ctx;
+
+    const PoolTotals before = pool_totals();
+    for (const NodeId source : {NodeId{0}, n / 2, n - 1}) {
+      const auto pooled = sssp::delta_stepping(g, source, po, &ctx);
+      expect_same_sssp(pooled, sssp::delta_stepping(g, source, lo, &local_ctx));
+      EXPECT_EQ(pooled.processes_used, kProcs);
+      EXPECT_GT(pooled.stats.wire_bytes, 0u);
+    }
+    EXPECT_EQ(pool_totals().spawns - before.spawns, kProcs) << "a warm run re-forked";
+    const mr::Transport* pool = ctx.round_buffers().transport.get();
+
+    // A new Δ is a presplit the workers' snapshot lacks: one spawn wave.
+    sssp::DeltaSteppingOptions po2 = po;
+    sssp::DeltaSteppingOptions lo2 = lo;
+    po2.delta = lo2.delta = 0.5 * g.avg_weight();
+    expect_same_sssp(sssp::delta_stepping(g, 0, po2, &ctx),
+                     sssp::delta_stepping(g, 0, lo2, &local_ctx));
+    EXPECT_EQ(pool_totals().spawns - before.spawns, 2 * kProcs);
+    EXPECT_EQ(ctx.round_buffers().transport.get(), pool);
+
+    // Another shard layout is another pool.
+    sssp::DeltaSteppingOptions po3 = po;
+    sssp::DeltaSteppingOptions lo3 = lo;
+    po3.partition.num_partitions = lo3.partition.num_partitions = 3;
+    expect_same_sssp(sssp::delta_stepping(g, 0, po3, &ctx),
+                     sssp::delta_stepping(g, 0, lo3, &local_ctx));
+    EXPECT_EQ(pool_totals().spawns - before.spawns, 3 * kProcs);
+    EXPECT_EQ(ctx.round_buffers().transport_part,
+              &ctx.partition_for(g, po3.partition));
+    EXPECT_EQ(pool_totals().restarts, before.restarts);
+  }
+}
+
+TEST(PoolResidency, ContextFreeDeltaSteppingStopsItsWorkers) {
+  const Graph g = test::make_family(Family::kGnmUniform, 150, 42);
+  sssp::DeltaSteppingOptions po;
+  po.partition.num_partitions = 4;
+  po.transport = pool_opts(2);
+  ASSERT_TRUE(no_children());
+  const std::uint64_t before = pool_totals().spawns;
+  const auto r = sssp::delta_stepping(g, 0, po);
+  EXPECT_EQ(pool_totals().spawns - before, 2u);  // the call did fork
+  EXPECT_GT(r.stats.wire_bytes, 0u);
+  EXPECT_TRUE(no_children()) << "a worker outlived its context-free call";
+
+  // A warm context's workers stay up until the context clears.
+  exec::Context ctx;
+  (void)sssp::delta_stepping(g, 0, po, &ctx);
+  EXPECT_FALSE(no_children());
+  ctx.clear();
+  EXPECT_TRUE(no_children());
 }
 
 // ---------------------------------------------------------------------------
