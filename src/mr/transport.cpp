@@ -1,6 +1,7 @@
 #include "mr/transport.hpp"
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -34,9 +35,20 @@ namespace {
 /// wedged child.
 constexpr int kReapTimeoutMs = 5000;
 
+/// How long each side of a worker socket polls for the next frame before it
+/// blocks (DESIGN.md §10, "waiting for a superstep"): the coordinator for a
+/// worker's reply, a worker for its next 'S' frame. A superstep of a served
+/// sssp computes in tens of microseconds, so most frames arrive inside the
+/// budget and cost no scheduler sleep and wake-up; an idle pool blocks after
+/// it, a reader whose spins keep timing out backs off to blocking
+/// (util::net::BufferedReader), and a pool whose workers and coordinator
+/// team outnumber the CPUs never spins (see the constructor).
+constexpr int kSpinWaitUs = 50;
+
 // Process-wide pool lifecycle totals (pool_totals()).
 std::atomic<std::uint64_t> g_pool_spawns{0};
 std::atomic<std::uint64_t> g_pool_restarts{0};
+std::atomic<std::uint64_t> g_pool_unclean_exits{0};
 
 }  // namespace
 
@@ -67,7 +79,8 @@ TransportOptions parse_transport_options(const std::string& kind,
 
 PoolTotals pool_totals() noexcept {
   return {g_pool_spawns.load(std::memory_order_relaxed),
-          g_pool_restarts.load(std::memory_order_relaxed)};
+          g_pool_restarts.load(std::memory_order_relaxed),
+          g_pool_unclean_exits.load(std::memory_order_relaxed)};
 }
 
 Launcher::Launcher(std::uint32_t num_shards, std::uint32_t processes)
@@ -112,6 +125,16 @@ TransportStats LocalTransport::run_compute(const SuperstepPlan& plan) {
 // ---------------------------------------------------------------------------
 
 PoolTransport::PoolTransport(Launcher launcher) : launcher_(launcher) {
+  // Spinning pays only while every worker and every thread of the
+  // coordinator's OpenMP team can hold a CPU of its own: libgomp's team
+  // threads spin after each parallel region (the apply phase) under its
+  // default wait policy. On fewer CPUs a spinner steals the CPU of the
+  // process it waits for — a K=4 P=2 sssp on 4 CPUs and 4 team threads ran
+  // 5x slower spinning than blocking.
+  const auto team = static_cast<unsigned>(std::max(1, omp_get_max_threads()));
+  if (net::usable_cpus() >= launcher_.processes() + team) {
+    spin_us_ = kSpinWaitUs;
+  }
   workers_.assign(launcher_.processes(), Worker{});
 }
 
@@ -129,7 +152,12 @@ void PoolTransport::stop_worker(Worker& w) noexcept {
     w.fd = -1;
   }
   if (w.pid > 0) {
-    net::reap_child(w.pid, kReapTimeoutMs);
+    const net::ReapResult r = net::reap_child(w.pid, kReapTimeoutMs);
+    const bool clean_exit =
+        r.reaped && WIFEXITED(r.status) && WEXITSTATUS(r.status) == 0;
+    if (r.sigtermed || (r.reaped && !clean_exit)) {
+      g_pool_unclean_exits.fetch_add(1, std::memory_order_relaxed);
+    }
     w.pid = -1;
   }
 }
@@ -183,14 +211,15 @@ void PoolTransport::worker_main(std::uint32_t p, int fd,
   // arrives through decode_input, which writes into storage that was
   // already allocated at fork time (the stable-address contract).
   const auto shards = launcher_.shards_of(p);
-  std::vector<std::byte> input;
+  net::BufferedReader in;
+  in.reset(fd, spin_us_);
   std::vector<std::byte> frames;
   std::vector<std::byte> row;
   for (;;) {
-    char cmd = 0;
-    if (!net::read_exact(fd, &cmd, 1)) ::_exit(0);  // coordinator is gone
-    if (cmd == 'Q') ::_exit(0);
-    if (cmd != 'S') ::_exit(4);
+    const std::byte* cmd = in.take(1);
+    if (cmd == nullptr) ::_exit(0);  // coordinator is gone
+    if (*cmd == std::byte{'Q'}) ::_exit(0);
+    if (*cmd != std::byte{'S'}) ::_exit(4);
     // Fault point: a kill fires SIGKILL on *this worker* mid-superstep
     // (after the coordinator committed to the step — the crash-replay
     // path); a delay stalls the step (the slow-worker path).
@@ -198,12 +227,10 @@ void PoolTransport::worker_main(std::uint32_t p, int fd,
     try {
       for (const ShardId s : shards) {
         std::uint64_t len = 0;
-        if (!net::read_u64(fd, len)) ::_exit(5);
-        input.resize(len);
-        if (len != 0 && !net::read_exact(fd, input.data(), len)) ::_exit(5);
-        if (len != 0 && plan.decode_input) {
-          plan.decode_input(s, input.data(), len);
-        }
+        if (!in.take_u64(len)) ::_exit(5);
+        const std::byte* input = in.take(len);
+        if (input == nullptr) ::_exit(5);
+        if (len != 0 && plan.decode_input) plan.decode_input(s, input, len);
         if (plan.reset_row) plan.reset_row(s);
       }
       for (const ShardId s : shards) plan.compute(s);
@@ -257,8 +284,9 @@ bool PoolTransport::recv_step(const Worker& w, std::uint32_t p,
     const fault::Outcome f = fault::check("pool.recv", w.pid);
     if (f.fail || f.short_io) return false;
   }
+  reply_.reset(w.fd, spin_us_);
   std::uint64_t status = 0;
-  if (!net::read_u64(w.fd, status)) return false;
+  if (!reply_.take_u64(status)) return false;
   bytes += sizeof status;
   if (status != 0) {
     fatal = status == 2
@@ -269,18 +297,18 @@ bool PoolTransport::recv_step(const Worker& w, std::uint32_t p,
   }
   for (const ShardId s : launcher_.shards_of(p)) {
     std::uint64_t row_len = 0;
-    if (!net::read_u64(w.fd, row_len)) return false;
-    row_.resize(row_len);
-    if (row_len != 0 && !net::read_exact(w.fd, row_.data(), row_len)) {
-      return false;
-    }
-    msgs += plan.decode_row(s, row_.data(), row_len);
+    if (!reply_.take_u64(row_len)) return false;
+    const std::byte* row = reply_.take(row_len);
+    if (row == nullptr) return false;
+    msgs += plan.decode_row(s, row, row_len);
     std::uint64_t counter = 0;
-    if (!net::read_u64(w.fd, counter)) return false;
+    if (!reply_.take_u64(counter)) return false;
     if (!plan.shard_counters.empty()) plan.shard_counters[s] = counter;
     bytes += 2 * sizeof(std::uint64_t) + row_len;
   }
-  return true;
+  // A worker writes nothing past its reply, so a byte left over means the
+  // stream is out of step: treat it as a torn reply and replay the group.
+  return reply_.drained();
 }
 
 TransportStats PoolTransport::run_compute(const SuperstepPlan& plan) {

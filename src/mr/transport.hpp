@@ -87,6 +87,7 @@
 #include <vector>
 
 #include "mr/partition.hpp"
+#include "util/net.hpp"
 
 namespace gdiam::mr {
 
@@ -136,13 +137,18 @@ struct TransportStats {
   std::uint64_t wire_bytes = 0;
 };
 
-/// Process-wide PoolTransport lifecycle totals: every worker fork and every
-/// crash restart by any pool of this process, destroyed pools included.
+/// Process-wide PoolTransport lifecycle totals: every worker fork, crash
+/// restart and unclean exit by any pool of this process, destroyed pools
+/// included.
 /// Per-pool counts are PoolTransport::spawns()/restarts(); these feed the
 /// serving daemon's `stats` verb, where pools live inside pooled engines.
 struct PoolTotals {
   std::uint64_t spawns = 0;
   std::uint64_t restarts = 0;
+  /// Workers reaped after exiting nonzero, dying by a signal or needing the
+  /// SIGTERM/SIGKILL escalation — crashed workers a restart replaced
+  /// included; a clean 'Q' shutdown adds none.
+  std::uint64_t unclean_exits = 0;
 };
 [[nodiscard]] PoolTotals pool_totals() noexcept;
 
@@ -259,6 +265,10 @@ class LocalTransport final : public Transport {
 ///                          shard [u64 row_len][row][u64 shard counter]
 ///   coordinator → worker   'Q' (or EOF) — worker _exits 0
 ///
+/// Each side writes a frame with one write and reads it through a
+/// util::net::BufferedReader, so a frame that arrived whole is one read;
+/// before that read it polls for kSpinWaitUs microseconds when spin_waits().
+///
 /// Crash handling: a send/recv failure on a group marks it dead; the pool
 /// respawns it from *current* coordinator state (a fresh COW snapshot is
 /// trivially epoch-correct) and replays only that group's step. Rows are a
@@ -294,6 +304,12 @@ class PoolTransport final : public Transport {
   /// injection hooks for the restart tests.
   [[nodiscard]] pid_t worker_pid(std::uint32_t p) const noexcept;
 
+  /// True when both sides of a worker socket poll for a bounded time before
+  /// blocking on the next frame: the CPUs this thread may use when the pool
+  /// was built covered every worker plus the coordinator's OpenMP team
+  /// (omp_get_max_threads(); DESIGN.md §10).
+  [[nodiscard]] bool spin_waits() const noexcept { return spin_us_ > 0; }
+
  private:
   struct Worker {
     pid_t pid = -1;
@@ -311,6 +327,7 @@ class PoolTransport final : public Transport {
                  std::string& fatal);
 
   Launcher launcher_;
+  int spin_us_ = 0;  // poll budget before a blocking read, 0 = block at once
   std::vector<Worker> workers_;
   bool alive_ = false;       // workers_ hold live pids/fds
   std::uint64_t epoch_ = 0;  // resident_epoch the pool was forked at
@@ -321,7 +338,7 @@ class PoolTransport final : public Transport {
   // across the thousands of supersteps of a served sssp.
   std::vector<std::byte> frame_;  // send_step: one group's 'S' frame
   std::vector<std::byte> input_;  // send_step: one shard's encoded input
-  std::vector<std::byte> row_;    // recv_step: one shard's staged row
+  util::net::BufferedReader reply_;  // recv_step: one worker's reply
   std::vector<std::uint64_t> grp_msgs_;  // run_compute: per-group tallies
   std::vector<std::uint64_t> grp_bytes_;
   std::vector<std::uint32_t> todo_;  // run_compute: groups still to run

@@ -201,41 +201,58 @@ std::string canonical_spec(const std::string& spec) {
   return spec.starts_with("file:") ? spec : "file:" + spec;
 }
 
-GraphStore::Entry& GraphStore::get(const std::string& spec) {
-  const std::string key = canonical_spec(spec);  // throws on a bad gen: spec
-  Entry* e = nullptr;
+void Turnstile::wait(std::uint64_t ticket) {
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_.wait(lk, [&] { return serving_ == ticket; });
+}
+
+void Turnstile::leave() {
   {
     const std::lock_guard<std::mutex> lk(mu_);
-    auto& slot = entries_[key];
-    if (slot == nullptr) {
-      slot = std::make_unique<Entry>();
-      slot->spec = spec;
-    }
-    e = slot.get();
+    ++serving_;
   }
+  cv_.notify_all();
+}
+
+GraphStore::Entry& GraphStore::entry(const std::string& spec) {
+  const std::string key = canonical_spec(spec);  // throws on a bad gen: spec
+  const std::lock_guard<std::mutex> lk(mu_);
+  auto& slot = entries_[key];
+  if (slot == nullptr) {
+    slot = std::make_unique<Entry>();
+    slot->spec = spec;
+  }
+  return *slot;
+}
+
+void GraphStore::load(Entry& e) {
   // Load outside the store lock: a cold road network must not stall queries
   // on other (hot) graphs. Racing loaders of one spec serialize on the
   // entry's own mutex; losers find `loaded` set and return immediately.
-  const std::lock_guard<std::mutex> elk(e->mu);
-  if (!e->loaded) {
-    // Fault point: a transient load failure (I/O error on a graph file,
-    // allocation pressure) — the entry stays retryable, so the *next*
-    // request for this spec loads cleanly.
-    if (util::fault::check("serve.load").fail) {
-      throw std::runtime_error("serve: graph load failed: " + spec);
-    }
-    e->graph = make_graph(spec);  // a throw leaves the entry retryable
-    e->loaded = true;
-    // Cold-start warming: a .gcsr graph carries its presplit layouts; adopt
-    // them into the entry's context now that the graph sits at its final
-    // address (the split cache keys on it). All-or-nothing inside.
-    if (const auto m = io::mapped_view(e->graph)) {
-      e->ctx.adopt_presplits(e->graph, *m);
-    }
-    const std::lock_guard<std::mutex> lk(mu_);
-    order_.push_back(e);
+  const std::lock_guard<std::mutex> elk(e.load_mu);
+  if (e.loaded) return;
+  // Fault point: a transient load failure (I/O error on a graph file,
+  // allocation pressure) — the entry stays retryable, so the *next* request
+  // for this spec loads cleanly.
+  if (util::fault::check("serve.load").fail) {
+    throw std::runtime_error("serve: graph load failed: " + e.spec);
   }
-  return *e;
+  e.graph = make_graph(e.spec);  // a throw leaves the entry retryable
+  e.loaded = true;
+  // Cold-start warming: a .gcsr graph carries its presplit layouts; adopt
+  // them into the entry's context now that the graph sits at its final
+  // address (the split cache keys on it). All-or-nothing inside.
+  if (const auto m = io::mapped_view(e.graph)) {
+    e.ctx.adopt_presplits(e.graph, *m);
+  }
+  const std::lock_guard<std::mutex> lk(mu_);
+  order_.push_back(&e);
+}
+
+GraphStore::Entry& GraphStore::get(const std::string& spec) {
+  Entry& e = entry(spec);
+  load(e);
+  return e;
 }
 
 std::vector<GraphStore::Snapshot> GraphStore::snapshot() {

@@ -30,11 +30,13 @@
 // The store keeps, per spec, the loaded Graph plus one exec::Context — the
 // warm state (pooled engines with resident pool workers, cached Δ-presplits
 // and shard layouts, RoundBuffers) that makes repeated queries on a hot
-// graph cheap. Contexts are not thread-safe, so each entry carries the
-// mutex the request scheduler holds while computing on it: one query per
-// graph at a time, many graphs genuinely concurrent.
+// graph cheap. Contexts are not thread-safe, so each entry carries a
+// Turnstile the request scheduler passes while computing on it: one query
+// per graph at a time, in the order the scheduler dequeued them, and many
+// graphs genuinely concurrent.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -59,6 +61,27 @@ namespace gdiam::serve {
 /// malformed gen: spec; reads no file.
 [[nodiscard]] std::string canonical_spec(const std::string& spec);
 
+/// A FIFO lock. take() hands out tickets in call order; wait(t) blocks until
+/// every earlier ticket has left. The scheduler takes a graph's ticket
+/// under its queue lock when it dequeues a batch, so batches on one graph
+/// compute in admission order — a plain mutex lets a batch dequeued later
+/// overtake one whose worker has not reached the lock yet.
+class Turnstile {
+ public:
+  [[nodiscard]] std::uint64_t take() noexcept {
+    return next_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void wait(std::uint64_t ticket);
+  /// Ends the current holder's turn; the next ticket may enter.
+  void leave();
+
+ private:
+  std::atomic<std::uint64_t> next_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t serving_ = 0;  // the ticket whose turn it is
+};
+
 /// The daemon's resident graphs, keyed by canonical_spec, so every spelling
 /// of one graph shares one entry (and one warm context with its resident
 /// pools). Entries are created on first use and live until the store dies —
@@ -69,19 +92,30 @@ class GraphStore {
     std::string spec;  // the spelling the entry was first requested under
     Graph graph;
     exec::Context ctx;
-    /// Held while computing on `ctx` (contexts serve one thread at a time).
-    std::mutex mu;
-    /// Set under mu once the graph is in place; a failed load leaves it
-    /// false so the next get() retries instead of serving an empty graph.
+    /// Passed while computing on `ctx` (contexts serve one thread at a
+    /// time), in ticket order.
+    Turnstile turn;
+    /// Serializes loads of `graph`: racing loaders of one cold spec.
+    std::mutex load_mu;
+    /// Set under load_mu once the graph is in place; a failed load leaves
+    /// it false so the next load() retries instead of serving an empty
+    /// graph.
     bool loaded = false;
     /// Requests served on this entry (monotonic; read without mu for stats).
     std::atomic<std::uint64_t> served{0};
   };
 
-  /// Returns the entry for `spec`'s canonical form, loading the graph on
-  /// first use. The reference stays valid for the store's lifetime.
-  /// Concurrent callers of the same cold spec block until one load
-  /// completes.
+  /// Returns the entry for `spec`'s canonical form, creating it unloaded on
+  /// first use; reads no file, so it is cheap enough to call under the
+  /// scheduler's queue lock. The reference stays valid for the store's
+  /// lifetime. Throws std::invalid_argument on a malformed gen: spec.
+  Entry& entry(const std::string& spec);
+
+  /// Loads `e`'s graph unless it is loaded. Concurrent callers on one cold
+  /// entry block until one load completes.
+  void load(Entry& e);
+
+  /// entry() then load().
   Entry& get(const std::string& spec);
 
   /// Specs currently resident, in load order, with their served counts —

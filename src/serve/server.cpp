@@ -311,6 +311,9 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
 void Server::worker_loop() {
   while (true) {
     std::vector<Request> batch;
+    GraphStore::Entry* entry = nullptr;
+    std::uint64_t ticket = 0;
+    std::string bad_spec;
     {
       std::unique_lock<std::mutex> lk(qmu_);
       qcv_.wait(lk, [this] { return stopping_.load() || !queue_.empty(); });
@@ -340,6 +343,15 @@ void Server::worker_loop() {
           ++it;
         }
       }
+      // The batch's place on its graph, taken in dequeue order: batches on
+      // one graph compute in the order they left the queue, whichever worker
+      // reaches the graph first.
+      try {
+        entry = &store_.entry(batch.front().graph);
+        ticket = entry->turn.take();
+      } catch (const std::invalid_argument& e) {
+        bad_spec = e.what();
+      }
     }
     // Fault point: a delay here stretches queue residency (the deadline and
     // shedding tests lean on it); an errno is ignored — dequeue cannot fail.
@@ -347,14 +359,27 @@ void Server::worker_loop() {
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     stats_.batched_requests.fetch_add(batch.size() - 1,
                                       std::memory_order_relaxed);
-    serve_batch(batch);
+    if (entry == nullptr) {
+      for (Request& r : batch) {
+        send_error(*r.conn, r.msg, kErrBadRequest, bad_spec);
+      }
+      continue;
+    }
+    serve_batch(batch, *entry, ticket);
   }
 }
 
-void Server::serve_batch(std::vector<Request>& batch) {
-  GraphStore::Entry* entry = nullptr;
+void Server::serve_batch(std::vector<Request>& batch, GraphStore::Entry& entry,
+                         std::uint64_t ticket) {
+  // One turn for the whole batch: every request in it computes on the same
+  // warm context, back to back. The turn passes on however this returns.
+  entry.turn.wait(ticket);
+  struct EndTurn {
+    Turnstile& turn;
+    ~EndTurn() { turn.leave(); }
+  } const end_turn{entry.turn};
   try {
-    entry = &store_.get(batch.front().graph);
+    store_.load(entry);
   } catch (const std::invalid_argument& e) {
     for (Request& r : batch) {
       send_error(*r.conn, r.msg, kErrBadRequest, e.what());
@@ -366,9 +391,6 @@ void Server::serve_batch(std::vector<Request>& batch) {
     }
     return;
   }
-  // One lock acquisition for the whole batch: every request in it computes
-  // on the same warm context, back to back.
-  const std::lock_guard<std::mutex> lk(entry->mu);
   for (Request& r : batch) {
     // Deadline re-check before each item: a long head query may have eaten
     // the whole budget of the requests batched behind it.
@@ -380,7 +402,7 @@ void Server::serve_batch(std::vector<Request>& batch) {
     }
     Message resp;
     try {
-      resp = handle_query(*entry, r.msg, /*force_local=*/false);
+      resp = handle_query(entry, r.msg, /*force_local=*/false);
     } catch (const mr::TransportError& e) {
       // Degradation ladder (DESIGN.md §11): the remote transport is
       // terminally gone — e.g. a pool group past its restart budget. The
@@ -389,7 +411,7 @@ void Server::serve_batch(std::vector<Request>& batch) {
       // the stats (and a degraded=1 field) betray the fallback.
       if (opts_.degrade_to_local) {
         try {
-          resp = handle_query(*entry, r.msg, /*force_local=*/true);
+          resp = handle_query(entry, r.msg, /*force_local=*/true);
           resp.set("degraded", "1");
           stats_.degraded.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception& e2) {
@@ -470,13 +492,15 @@ Message Server::handle_stats() {
   resp.set("degraded", std::to_string(stats_.degraded.load()));
   resp.set("disconnected_slow",
            std::to_string(stats_.disconnected_slow.load()));
-  // Worker forks and crash restarts of every pool in the daemon. Pooled
-  // estimates and sssp requests on a warm graph fork none (an sssp at a new
-  // delta= re-forks its pool once), so spawns rising across repeats betray
-  // re-snapshots.
+  // Worker forks, crash restarts and unclean exits of every pool in the
+  // daemon. Pooled estimates and sssp requests on a warm graph fork none (an
+  // sssp at a delta= whose presplit the context lacks re-forks its pool
+  // once), so spawns rising across repeats betray re-snapshots; a worker
+  // that crashed or would not quit shows in pool_unclean_exits.
   const mr::PoolTotals pools = mr::pool_totals();
   resp.set("pool_spawns", std::to_string(pools.spawns));
   resp.set("pool_restarts", std::to_string(pools.restarts));
+  resp.set("pool_unclean_exits", std::to_string(pools.unclean_exits));
   std::string body;
   for (const GraphStore::Snapshot& s : store_.snapshot()) {
     body += s.spec + "  n=" + std::to_string(s.nodes) +

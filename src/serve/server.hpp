@@ -15,9 +15,13 @@
 //   worker threads  — the request scheduler: each pops the oldest pending
 //                     request, then *batches* every other pending request
 //                     for the same graph spec (up to max_batch, preserving
-//                     arrival order), resolves the graph once, takes the
-//                     graph's context lock once, and serves the whole batch
-//                     on the warm exec::Context before unlocking. Client
+//                     arrival order) and takes the graph's next ticket
+//                     (serve/graphs.hpp, Turnstile) before it lets go of the
+//                     queue; when the ticket's turn comes, it loads the
+//                     graph if cold and serves the whole batch on the warm
+//                     exec::Context, then passes the turn on. So batches on
+//                     one graph compute in the order they were dequeued,
+//                     whichever worker gets there first. Client
 //                     deadlines (`deadline_ms`) are checked at dequeue and
 //                     again before each batch item: an expired request gets
 //                     a `deadline_exceeded` error, never a silent drop.
@@ -36,11 +40,12 @@
 //
 // Batching policy: same-graph requests are where the warm state lives —
 // pooled engines with resident pool workers, cached Δ-presplits, reusable
-// round buffers. Serving them back-to-back under one lock acquisition
-// amortizes scheduling and keeps the context hot, while requests for
-// *different* graphs proceed on other workers in true parallel. A batch
-// never reorders: requests are served in arrival order, and responses carry
-// the client's `id` so pipelined clients can match them up.
+// round buffers. Serving them back-to-back in one turn amortizes
+// scheduling and keeps the context hot, while requests for *different*
+// graphs proceed on other workers in true parallel. Nothing reorders:
+// requests within a batch and batches on one graph are served in arrival
+// order, and responses carry the client's `id` so pipelined clients can
+// match them up.
 //
 // Queries on one graph are deliberately serialized (a Context is
 // single-threaded by contract, and the kernels parallelize internally with
@@ -165,7 +170,9 @@ class Server {
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
   void worker_loop();
-  void serve_batch(std::vector<Request>& batch);
+  /// Serves `batch` on `entry` once `ticket`'s turn comes up.
+  void serve_batch(std::vector<Request>& batch, GraphStore::Entry& entry,
+                   std::uint64_t ticket);
   /// Handles one query on its (locked) graph entry; returns the response.
   /// `force_local` overrides the request's transport choice with
   /// LocalTransport (the degradation retry).

@@ -101,18 +101,24 @@ bool RoundBuffers::stamp_once(NodeId v) {
 }
 
 mr::Transport& RoundBuffers::transport_for(const mr::Partition& part,
-                                           const mr::TransportOptions& opts,
-                                           Weight delta) {
+                                           std::uint32_t processes,
+                                           Weight delta,
+                                           std::uint64_t split_builds) {
   if (transport == nullptr || transport_part != &part ||
-      transport_opts != opts) {
+      transport_processes != processes) {
     drop_transport();  // stop the old pool's workers before forking new ones
-    transport = mr::Launcher::make_transport(opts, part.num_partitions());
+    transport = mr::Launcher::make_transport(
+        {.kind = mr::TransportKind::kPool, .processes = processes},
+        part.num_partitions());
     transport_part = &part;
-    transport_opts = opts;
-  } else if (delta != pool_delta) {
-    ++pool_epoch;
+    transport_processes = processes;
+    workers_delta = delta;  // they fork at the first superstep
+    pool_split_builds = split_builds;
+  } else if (split_builds != pool_split_builds) {
+    ++pool_epoch;  // the pool respawns them at the first superstep
+    workers_delta = delta;
+    pool_split_builds = split_builds;
   }
-  pool_delta = delta;
   return *transport;
 }
 
@@ -164,12 +170,24 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   // compute runs (mr/transport.hpp): in-process threads, or
   // opts.transport.processes worker processes, resident across the runs of
   // a warm context.
+  //
+  // Δ-presplit adjacency (graph/split_csr.hpp): one O(m) light-first reorder,
+  // cached in the context so equal-Δ repetitions (sweeps) presplit once. The
+  // flat kernel splits the graph's CSR; the partitioned one splits each
+  // shard's CSR, so both backends see the same per-node split offsets.
   const mr::Partition* part = nullptr;
+  const SplitCsr* split = nullptr;
   std::optional<mr::BspEngine> bsp;
   if (opts.partition.num_partitions > 1 && n > 0) {
     part = &C.partition_for(g, opts.partition);
-    mr::Transport& transport = rb.transport_for(*part, opts.transport, delta);
-    bsp.emplace(*part, &transport);
+    rb.pool_delta = delta;
+    rb.pool_splits = &C.shard_splits_for(g, opts.partition, delta);
+    if (opts.transport.kind == mr::TransportKind::kPool) {
+      bsp.emplace(*part, &rb.transport_for(*part, opts.transport.processes,
+                                           delta, C.shard_split_builds()));
+    } else {
+      bsp.emplace(*part);  // the engine's own LocalTransport
+    }
     const std::uint32_t k = part->num_partitions();
     if (rb.exchange.num_partitions() != k) {
       rb.exchange.resize(k);
@@ -180,7 +198,9 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     rb.shard_messages.assign(k, 0);
     rb.shard_updates.assign(k, 0);
     out.partitions_used = k;
-    out.processes_used = transport.processes();
+    out.processes_used = bsp->transport().processes();
+  } else {
+    split = &C.split_for(g, delta);
   }
   // Under a remote transport a shard's compute runs in a forked worker whose
   // writes to dist_bits (and every other coordinator array) are lost: owned
@@ -193,44 +213,57 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   // So the compute and decode closures below may read only:
   //   - the partition slice (`part`): the transport's key, so a worker never
   //     outlives the partition it was forked with;
-  //   - the shard presplit for the fork-time Δ (`shard_splits`): in the
-  //     snapshot, and the epoch moves whenever a run's Δ differs;
+  //   - the context's presplit cache (`C`) as it was at the fork: the epoch
+  //     moves whenever the context has built a presplit since;
   //   - the per-phase inputs shipped into stable RoundBuffers storage
   //     through the StepInputCodec: the frontier pairs routed to each shard
-  //     (`by_shard`) and the phase's edge class (`pool_kind`).
+  //     (`by_shard`), the phase's edge class (`pool_kind`) and, on a run
+  //     at a Δ the workers do not hold, that Δ (`pool_delta`), whose
+  //     presplit the decoder looks up into `pool_splits`.
   // Nothing else from the frame of a later call reaches a worker.
   const bool remote = bsp && bsp->remote_compute();
   mr::StepInputCodec pool_codec;
   if (remote) {
     pool_codec.epoch = rb.pool_epoch;
-    // Input frame, per shard: [u8 edge_kind][FrontierEntry records...].
+    // Input frame, per shard: [u8 edge_kind | kShipsDelta][f64 Δ, only with
+    // kShipsDelta][FrontierEntry records...].
+    constexpr std::uint8_t kShipsDelta = 0x80;
     pool_codec.encode = [&rb](mr::ShardId s, std::vector<std::byte>& buf) {
-      buf.push_back(static_cast<std::byte>(rb.pool_kind));
+      const bool ship = rb.pool_delta != rb.workers_delta;
+      buf.push_back(
+          static_cast<std::byte>(rb.pool_kind | (ship ? kShipsDelta : 0)));
+      if (ship) {
+        const auto* d = reinterpret_cast<const std::byte*>(&rb.pool_delta);
+        buf.insert(buf.end(), d, d + sizeof rb.pool_delta);
+      }
       const auto& entries = rb.by_shard[s];
       const auto* p = reinterpret_cast<const std::byte*>(entries.data());
       buf.insert(buf.end(), p, p + entries.size() * sizeof(FrontierEntry));
     };
-    pool_codec.decode = [&rb](mr::ShardId s, const std::byte* p,
-                              std::size_t len) {
-      rb.pool_kind = static_cast<std::uint8_t>(p[0]);
+    pool_codec.decode = [&rb, &C](mr::ShardId s, const std::byte* p,
+                                  std::size_t len) {
+      const auto head = static_cast<std::uint8_t>(p[0]);
       ++p;
       --len;
+      rb.pool_kind = head & ~kShipsDelta;
+      if ((head & kShipsDelta) != 0) {
+        if (len < sizeof rb.pool_delta) {
+          throw std::runtime_error("truncated pool input frame");
+        }
+        std::memcpy(&rb.pool_delta, p, sizeof rb.pool_delta);
+        p += sizeof rb.pool_delta;
+        len -= sizeof rb.pool_delta;
+        rb.pool_splits =
+            C.find_shard_splits(*rb.transport_part, rb.pool_delta);
+        if (rb.pool_splits == nullptr) {
+          throw std::logic_error(
+              "pool worker snapshot lacks the shipped presplit");
+        }
+      }
       auto& entries = rb.by_shard[s];
       entries.resize(len / sizeof(FrontierEntry));
       if (len != 0) std::memcpy(entries.data(), p, len);
     };
-  }
-
-  // Δ-presplit adjacency (graph/split_csr.hpp): one O(m) light-first reorder,
-  // cached in the context so equal-Δ repetitions (sweeps) presplit once. The
-  // flat kernel splits the graph's CSR; the partitioned one splits each
-  // shard's CSR, so both backends see the same per-node split offsets.
-  const SplitCsr* split = nullptr;
-  const std::vector<CsrSplit>* shard_splits = nullptr;
-  if (part == nullptr) {
-    split = &C.split_for(g, delta);
-  } else {
-    shard_splits = &C.shard_splits_for(g, opts.partition, delta);
   }
 
   // Relax `kind` edges out of `frontier` (distance snapshots taken at phase
@@ -305,7 +338,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       const auto ck = static_cast<EdgeKind>(rb.pool_kind);
       // Iterate only the [light | heavy] half of the shard's permuted
       // segment.
-      const CsrSplit& ss = (*shard_splits)[sh.id];
+      const CsrSplit& ss = (*rb.pool_splits)[sh.id];
       for (const FrontierEntry& e : rb.by_shard[sh.id]) {
         const NodeId l = part->local_id(e.node);
         EdgeIndex lo = sh.offsets[l];
@@ -342,6 +375,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     bsp->superstep(rb.exchange, compute, apply, &out.stats,
                    std::span<std::uint64_t>(rb.shard_messages.data(), k),
                    remote ? &pool_codec : nullptr);
+    // Every worker now holds this run's Δ: shipped, or forked with it.
+    if (remote) rb.workers_delta = rb.pool_delta;
 
     for (std::uint32_t s = 0; s < k; ++s) {
       out.stats.messages += rb.shard_messages[s];

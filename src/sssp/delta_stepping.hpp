@@ -114,31 +114,44 @@ struct RoundBuffers {
   std::vector<std::vector<FrontierEntry>> by_shard;
   std::vector<std::uint64_t> shard_messages;
   std::vector<std::uint64_t> shard_updates;
-  /// Resident-worker (PoolTransport) input slot: the edge class of the
-  /// current relaxation phase. Lives here — stable heap address — so a pool
-  /// worker's frozen compute closure reads the value decode_input just
-  /// shipped, not the stale fork-time copy of a stack variable.
-  std::uint8_t pool_kind = 0;
-  /// The partitioned path's transport, kept across runs with the key it was
-  /// built for (transport_for).
+  /// The pooled partitioned path's transport, kept across runs with the
+  /// shard layout and worker count it was built for (transport_for). A
+  /// local partitioned run uses the BSP engine's own LocalTransport and
+  /// leaves this one, workers included, alone.
   std::unique_ptr<mr::Transport> transport;
   const mr::Partition* transport_part = nullptr;
-  mr::TransportOptions transport_opts;
-  /// The Δ the resident pool workers were forked at and its epoch (the
-  /// runs' StepInputCodec::epoch): a new Δ means a presplit the workers'
-  /// snapshot lacks, so the epoch moves and the pool respawns them.
+  std::uint32_t transport_processes = 0;
+  /// Resident-worker (PoolTransport) input slots: the current relaxation
+  /// phase's edge class, the run's Δ and its shard presplit, which compute
+  /// reads. They live here — stable heap addresses — so a pool worker's
+  /// frozen closures read what decode_input just installed, not the stale
+  /// fork-time copy of a stack variable.
+  std::uint8_t pool_kind = 0;
   Weight pool_delta = 0.0;
+  const std::vector<CsrSplit>* pool_splits = nullptr;
+  /// The Δ the resident workers hold. A run at another Δ ships its Δ in
+  /// the input frames of its first superstep, and each worker looks the
+  /// presplit up in its snapshot of the context cache.
+  Weight workers_delta = 0.0;
+  /// The context's presplit build count when the workers last (re)forked,
+  /// and the runs' StepInputCodec::epoch: a build since then may be a
+  /// presplit the workers' snapshot lacks, so the epoch moves and the pool
+  /// respawns them.
+  std::uint64_t pool_split_builds = 0;
   std::uint64_t pool_epoch = 0;
 
   /// Rebinds the pool to an n-vertex run, keeping every buffer's capacity.
   void reset(NodeId n, const core::FrontierOptions& opts);
 
-  /// The transport for a run on `part` under `opts` at bucket width
-  /// `delta`: the resident one while (part, opts) match the key it was
-  /// built for, else a new one (the old pool's workers stop first). Bumps
-  /// pool_epoch when `delta` differs from the Δ the workers were forked at.
+  /// The pool transport for a run on `part` with `processes` workers at
+  /// bucket width `delta`, after the context has built `split_builds`
+  /// shard presplits: the resident one while (part, processes) match the
+  /// key it was built for, else a new one (the old pool's workers stop
+  /// first). Bumps pool_epoch when `split_builds` moved since the workers
+  /// forked.
   mr::Transport& transport_for(const mr::Partition& part,
-                               const mr::TransportOptions& opts, Weight delta);
+                               std::uint32_t processes, Weight delta,
+                               std::uint64_t split_builds);
   /// Stops and drops the resident transport (its workers included).
   void drop_transport() noexcept;
 

@@ -1,6 +1,7 @@
 #include "util/net.hpp"
 
 #include <poll.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -8,9 +9,12 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "util/fault.hpp"
 
@@ -139,6 +143,111 @@ bool read_exact(int fd, void* data, std::size_t len) noexcept {
     len -= static_cast<std::size_t>(n);
   }
   return true;
+}
+
+void BufferedReader::reset(int fd, int spin_us) {
+  // Large enough that a superstep's reply or input frame usually arrives in
+  // one read; a longer frame grows the buffer, which keeps the capacity.
+  constexpr std::size_t kMinBuffer = 64 * 1024;
+  if (cap_ < kMinBuffer) {
+    buf_ = std::make_unique_for_overwrite<std::byte[]>(kMinBuffer);
+    cap_ = kMinBuffer;
+  }
+  fd_ = fd;
+  spin_us_ = spin_us;
+  pos_ = 0;
+  end_ = 0;
+}
+
+const std::byte* BufferedReader::take(std::size_t len) {
+  if (end_ - pos_ < len) {
+    // Move the untaken tail to the front of a buffer that holds the whole
+    // request, and refill until it is all there.
+    const std::size_t tail = end_ - pos_;
+    if (cap_ < len) {
+      auto bigger = std::make_unique_for_overwrite<std::byte[]>(len);
+      std::memcpy(bigger.get(), buf_.get() + pos_, tail);
+      buf_ = std::move(bigger);
+      cap_ = len;
+    } else {
+      std::memmove(buf_.get(), buf_.get() + pos_, tail);
+    }
+    pos_ = 0;
+    end_ = tail;
+    while (end_ < len) {
+      const ssize_t n = refill();
+      if (n <= 0) return nullptr;
+      end_ += static_cast<std::size_t>(n);
+    }
+  }
+  const std::byte* p = buf_.get() + pos_;
+  pos_ += len;
+  return p;
+}
+
+ssize_t BufferedReader::refill() noexcept {
+  std::byte* data = buf_.get() + end_;
+  const std::size_t cap = cap_ - end_;
+  const fault::Outcome f = fault::check("net.recv");
+  if (f.fail) return -1;  // errno set by the fault point
+  if (f.short_io) {
+    // Peer gone mid-frame: drop what arrives so the stream is genuinely
+    // desynced, then report EOF-in-frame.
+    while (::read(fd_, data, cap > 1 ? cap / 2 : 1) < 0 && errno == EINTR) {
+    }
+    errno = 0;
+    return 0;
+  }
+  if (spin_us_ > 0 && skip_ == 0) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(spin_us_);
+    bool waited = false;
+    do {
+      const ssize_t n = ::recv(fd_, data, cap, MSG_DONTWAIT);
+      if (n >= 0) {
+        if (waited) backoff_ = 0;  // the spin paid off
+        if (n == 0) errno = 0;
+        return n;
+      }
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        return -1;
+      }
+      waited = true;
+    } while (std::chrono::steady_clock::now() < deadline);
+    // The peer took longer than the budget: a long step, an idle pool, or a
+    // box with more runnable threads than CPUs, where spinning only takes
+    // the CPU from the process it waits for. Block through the next 1, 3,
+    // 7, ... waits (at most kMaxSkip) before the next try; a spin that pays
+    // off resets the count.
+    constexpr unsigned kMaxSkip = 63;
+    backoff_ = std::min(2 * backoff_ + 1, kMaxSkip);
+    skip_ = backoff_;
+  } else if (skip_ > 0) {
+    --skip_;
+  }
+  for (;;) {
+    const ssize_t n = ::read(fd_, data, cap);
+    if (n >= 0) {
+      if (n == 0) errno = 0;
+      return n;
+    }
+    if (errno != EINTR) return -1;
+  }
+}
+
+bool BufferedReader::take_u64(std::uint64_t& v) {
+  const std::byte* p = take(sizeof v);
+  if (p == nullptr) return false;
+  std::memcpy(&v, p, sizeof v);
+  return true;
+}
+
+unsigned usable_cpus() noexcept {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  const int n = CPU_COUNT(&set);
+  return n > 0 ? static_cast<unsigned>(n) : 1;
 }
 
 bool write_u64(int fd, std::uint64_t v) noexcept {

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,51 @@ bool write_all_timeout(int fd, const void* data, std::size_t len,
 /// Reads exactly `len` bytes into `data`. Returns false on EOF or error
 /// (errno == 0 distinguishes clean EOF from a real error).
 bool read_exact(int fd, void* data, std::size_t len) noexcept;
+
+/// Reads a framed stream through one growable buffer: each refill is one
+/// read(2) of whatever the peer has sent, so a frame of many fields that
+/// arrived whole costs one syscall. With a spin budget, a refill first
+/// polls the socket without blocking for up to that many microseconds (a
+/// sender that answers within it costs no scheduler sleep and wake-up),
+/// then falls back to a blocking read; socket fds only. A spin that times
+/// out makes the next few refills block at once, doubling up to 63 while
+/// spins keep timing out, so a loaded box stops spinning. Each refill
+/// carries the "net.recv" fault point with read_exact's meaning: errno
+/// fails it; short drops part of the stream and reports EOF. Bytes a
+/// take() returns stay valid until the next call.
+class BufferedReader {
+ public:
+  /// Binds `fd` with the given spin budget (0 = block at once) and drops
+  /// any buffered bytes; the spin backoff carries over.
+  void reset(int fd, int spin_us);
+
+  /// The next `len` bytes, contiguous in the buffer (a valid pointer even
+  /// for len 0), or nullptr on EOF (errno = 0) or error mid-way.
+  const std::byte* take(std::size_t len);
+  bool take_u64(std::uint64_t& v);
+
+  /// True when every byte read from the fd has been taken.
+  [[nodiscard]] bool drained() const noexcept { return pos_ == end_; }
+
+ private:
+  /// One refill: one read of up to the free space, spinning first unless
+  /// recent spins timed out. Returns the byte count, 0 on EOF (errno = 0),
+  /// -1 on error.
+  ssize_t refill() noexcept;
+
+  int fd_ = -1;
+  int spin_us_ = 0;
+  unsigned skip_ = 0;     // blocking waits left before the next spin
+  unsigned backoff_ = 0;  // skip_ after the next spin that times out
+  // Left uninitialized: only the pages frames actually reach turn resident.
+  std::unique_ptr<std::byte[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t pos_ = 0;  // first untaken byte
+  std::size_t end_ = 0;  // one past the last byte read
+};
+
+/// CPUs the calling thread may run on (sched_getaffinity), at least 1.
+[[nodiscard]] unsigned usable_cpus() noexcept;
 
 /// u64 framing used by every gdiam wire format (host order; all peers are
 /// forks or same-host daemon clients).

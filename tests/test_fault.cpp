@@ -19,6 +19,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -253,6 +255,82 @@ TEST(NetChaos, DelayFaultOnlyDelays) {
   ::close(fds[1]);
 }
 
+// The pool's BufferedReader: fields come back intact however the stream is
+// cut and however late it arrives (spins that time out back off to blocking
+// reads), a field longer than the buffer grows it, and the net.recv fault
+// point keeps read_exact's meaning on every refill.
+TEST(NetChaos, BufferedReaderReassemblesFieldsAcrossReads) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::vector<std::byte> big(200 * 1024);  // past the reader's first buffer
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::byte>(i * 7);
+  }
+  std::thread writer([&] {
+    // u64 length, the payload in uneven slices, then a trailing u64.
+    const std::uint64_t len = big.size();
+    net::write_all(fds[0], &len, 3);
+    net::write_all(fds[0], reinterpret_cast<const char*>(&len) + 3, 5);
+    for (std::size_t at = 0; at < big.size(); at += 40000) {
+      net::write_all(fds[0], big.data() + at,
+                     std::min<std::size_t>(40000, big.size() - at));
+    }
+    net::write_u64(fds[0], 42);
+  });
+  for (const int spin_us : {0, 50}) {
+    SCOPED_TRACE(spin_us);
+    if (spin_us != 0) {
+      // A second frame for the spinning reader, in slices far enough apart
+      // that its spins time out and it backs off to blocking reads.
+      writer.join();
+      writer = std::thread([&] {
+        const std::uint64_t len = big.size();
+        net::write_all(fds[0], &len, sizeof len);
+        for (std::size_t at = 0; at < big.size(); at += 20000) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          net::write_all(fds[0], big.data() + at,
+                         std::min<std::size_t>(20000, big.size() - at));
+        }
+        net::write_u64(fds[0], 42);
+      });
+    }
+    net::BufferedReader in;
+    in.reset(fds[1], spin_us);
+    std::uint64_t len = 0;
+    ASSERT_TRUE(in.take_u64(len));
+    ASSERT_EQ(len, big.size());
+    const std::byte* payload = in.take(len);
+    ASSERT_NE(payload, nullptr);
+    EXPECT_TRUE(std::equal(big.begin(), big.end(), payload));
+    EXPECT_NE(in.take(0), nullptr);
+    std::uint64_t tail = 0;
+    ASSERT_TRUE(in.take_u64(tail));
+    EXPECT_EQ(tail, 42u);
+    EXPECT_TRUE(in.drained());
+  }
+  writer.join();
+
+  net::BufferedReader in;
+  in.reset(fds[1], 0);
+  ASSERT_TRUE(net::write_u64(fds[0], 7));
+  {
+    const ScopedFaults f("net.recv=errno:ECONNRESET@1");
+    std::uint64_t v = 0;
+    EXPECT_FALSE(in.take_u64(v));
+    EXPECT_EQ(errno, ECONNRESET);
+  }
+  {
+    const ScopedFaults f("net.recv=short@1");
+    std::uint64_t v = 0;
+    EXPECT_FALSE(in.take_u64(v));  // part of the stream dropped: EOF
+    EXPECT_EQ(errno, 0);
+  }
+  ::close(fds[0]);
+  std::uint64_t v = 0;
+  EXPECT_FALSE(in.take_u64(v));  // the peer is gone
+  ::close(fds[1]);
+}
+
 // ---------------------------------------------------------------------------
 // reap_child: EINTR-clean bounded wait with SIGTERM→SIGKILL escalation
 
@@ -461,6 +539,39 @@ TEST(TransportChaos, WorkerKillInSecondWarmSsspReplaysBitIdentical) {
     EXPECT_EQ(got->buckets_processed, want->buckets_processed);
     EXPECT_EQ(got->stats, want->stats);  // wire counters included
   }
+}
+
+// A worker that answers later than the coordinator's spin budget (50 µs)
+// is waited for with a blocking read, and a worker that waits longer than
+// its own budget for the next step blocks too: a slow pool is slower, never
+// different, and never mistaken for a dead one.
+TEST(TransportChaos, WorkerDelayedPastTheSpinBudgetIsBitIdentical) {
+  const Graph g = test::make_family(Family::kGnmUniform, 200, 13);
+  sssp::DeltaSteppingOptions o;
+  o.partition.num_partitions = 4;
+  o.transport = {.kind = mr::TransportKind::kPool, .processes = 2};
+  exec::Context clean_ctx;
+  const auto clean = sssp::delta_stepping(g, 0, o, &clean_ctx);
+
+  // Armed before the fork, so every worker step sleeps 5 ms. A one-thread
+  // OpenMP team lets the pool spin on a box of 3 or more CPUs.
+  const ScopedFaults f("pool.worker.step=delay:5");
+  const int team = omp_get_max_threads();
+  omp_set_num_threads(1);
+  exec::Context ctx;
+  const auto slow = sssp::delta_stepping(g, 0, o, &ctx);
+  omp_set_num_threads(team);
+  const auto* pool =
+      dynamic_cast<mr::PoolTransport*>(ctx.round_buffers().transport.get());
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->spin_waits(), net::usable_cpus() >= 3);
+  EXPECT_EQ(pool->restarts(), 0u);
+  EXPECT_EQ(pool->spawns(), 2u);
+  EXPECT_EQ(slow.dist, clean.dist);
+  EXPECT_EQ(slow.farthest, clean.farthest);
+  EXPECT_EQ(slow.buckets_processed, clean.buckets_processed);
+  EXPECT_EQ(slow.stats, clean.stats);  // wire_bytes and wire_messages too
+  EXPECT_GT(slow.stats.wire_bytes, 0u);
 }
 
 // A run that ends in TransportError shuts its pool down; the next call on

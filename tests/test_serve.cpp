@@ -11,17 +11,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/diameter.hpp"
+#include "mr/transport.hpp"
 #include "serve/graphs.hpp"
 #include "serve/protocol.hpp"
 #include "serve/render.hpp"
 #include "serve/server.hpp"
 #include "sssp/delta_stepping.hpp"
+#include "util/fault.hpp"
 #include "util/net.hpp"
 
 namespace gdiam::serve {
@@ -317,6 +320,103 @@ TEST(Server, WarmPooledSsspForksNoWorkers) {
   EXPECT_NE(cold.body.find("wire="), std::string::npos);
 }
 
+// Both presplits cached, an sssp pool serves two delta= values alternately
+// without re-forking: a switch ships Δ to the resident workers.
+TEST(Server, DeltaSwitchKeepsPoolWorkers) {
+  ServerOptions sopts;
+  sopts.socket_path = test_socket("delta_switch");
+  Server server(sopts);
+  server.start();
+
+  Message sp;
+  sp.head = "sssp";
+  sp.set("graph", "gen:mesh:side=32:weights=uniform:seed=7");
+  sp.set("source", "5");
+  sp.set("partitions", "4");
+  sp.set("transport", "pool");
+  sp.set("processes", "2");
+  Message sp3 = sp;
+  sp3.set("delta", "0.3");
+  Message stats;
+  stats.head = "stats";
+  const Message first = roundtrip(sopts.socket_path, sp);
+  const Message first3 = roundtrip(sopts.socket_path, sp3);
+  const Message warm = roundtrip(sopts.socket_path, stats);
+  std::vector<Message> again;
+  for (int i = 0; i < 2; ++i) {
+    again.push_back(roundtrip(sopts.socket_path, sp));
+    again.push_back(roundtrip(sopts.socket_path, sp3));
+  }
+  const Message after = roundtrip(sopts.socket_path, stats);
+  server.stop();
+  EXPECT_NE(warm.get("pool_spawns"), "0");
+  EXPECT_EQ(after.get("pool_spawns"), warm.get("pool_spawns"));
+  EXPECT_EQ(after.get("pool_restarts"), warm.get("pool_restarts"));
+  // Same result and counters as the first run at each Δ. Only wire= may
+  // differ: a switching run also ships its Δ, 8 bytes per shard
+  // (PoolResidency.DeltaSwitchShipsDeltaAndKeepsWorkers pins the count).
+  auto without_wire = [](std::string body) {
+    const std::size_t at = body.find(" wire=");
+    if (at != std::string::npos) {
+      body.erase(at, body.find(' ', at + 1) - at);
+    }
+    return body;
+  };
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(without_wire(again[i].body),
+              without_wire((i % 2 == 0 ? first : first3).body))
+        << i;
+  }
+  EXPECT_NE(first.body, first3.body);
+  EXPECT_NE(without_wire(first.body), first.body);  // wire= was there
+}
+
+// With two workers on one graph, a batch must not overtake an earlier one
+// whose worker has not reached the graph yet: the first request is held
+// at dequeue, and the later ones queue behind it in admission order.
+TEST(Server, OneGraphIsServedInAdmissionOrder) {
+  ServerOptions sopts;
+  sopts.socket_path = test_socket("fifo");
+  sopts.worker_threads = 2;
+  sopts.max_batch = 1;  // one request per batch: every request takes a turn
+  Server server(sopts);
+  server.start();
+
+  Message load;
+  load.head = "load";
+  load.set("graph", "gen:mesh:side=16:weights=uniform:seed=7");
+  roundtrip(sopts.socket_path, load);
+
+  struct ScopedFaults {
+    ScopedFaults() { util::fault::arm("serve.dequeue=delay:300@1"); }
+    ~ScopedFaults() { util::fault::disarm(); }
+  } const faults;
+  const int fd = util::net::connect_unix(sopts.socket_path);
+  constexpr int kRequests = 4;
+  for (int i = 0; i < kRequests; ++i) {
+    Message sp;
+    sp.head = "sssp";
+    sp.set("graph", "gen:mesh:side=16:weights=uniform:seed=7");
+    sp.set("source", std::to_string(i));
+    sp.set("id", std::to_string(i));
+    write_message(fd, sp);
+    // The first request reaches a worker (and its 300 ms delay) before the
+    // rest arrive.
+    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  // One connection: responses arrive in the order they were served.
+  std::vector<std::string> order;
+  for (int i = 0; i < kRequests; ++i) {
+    Message resp;
+    ASSERT_TRUE(read_message(fd, resp));
+    EXPECT_EQ(resp.head, "ok") << resp.get("message");
+    order.push_back(resp.get("id"));
+  }
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(order, (std::vector<std::string>{"0", "1", "2", "3"}));
+}
+
 TEST(Server, SpellingsOfOneGraphAreOneStatsEntry) {
   ServerOptions sopts;
   sopts.socket_path = test_socket("spellings");
@@ -574,6 +674,8 @@ TEST(Server, StatsAndShutdownVerbs) {
   const Message s = roundtrip(sopts.socket_path, stats);
   EXPECT_EQ(s.get("graphs"), "1");
   EXPECT_EQ(s.get("errors"), "0");
+  EXPECT_EQ(s.get("pool_unclean_exits"),
+            std::to_string(mr::pool_totals().unclean_exits));
   EXPECT_NE(s.body.find("gen:path:nodes=64"), std::string::npos);
 
   Message shutdown;

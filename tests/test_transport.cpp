@@ -10,10 +10,14 @@
 // resident epoch (per superstep without an input codec), per-superstep
 // inputs and shard counters crossing the socket, a SIGKILLed worker
 // restarted mid-run with bit-identical results, workers that stay resident
-// across whole warm CLUSTER/CLUSTER2 and Δ-stepping runs (PoolResidency)
-// and a worker compute that may enter an OpenMP region without hanging.
+// across whole warm CLUSTER/CLUSTER2 and Δ-stepping runs (PoolResidency),
+// a worker compute that may enter an OpenMP region without hanging, the
+// spin-then-block wait falling back to blocking on one CPU (PoolWaits) and
+// the count of workers that exited uncleanly (PoolLifecycle).
 
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <csignal>
 #include <sys/types.h>
@@ -45,6 +49,7 @@
 #include "mr/transport.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "test_helpers.hpp"
+#include "util/net.hpp"
 
 namespace gdiam::mr {
 namespace {
@@ -659,9 +664,11 @@ TEST(PoolResidency, ColdContextRespawnsOncePerNewDelta) {
 }
 
 // Δ-stepping's pool lives in the context's RoundBuffers, keyed on (shard
-// layout, transport options), with Δ as its resident epoch: warm runs from
-// new sources fork nothing, a new Δ re-forks once, a new K builds a new
-// pool, and a context-free call stops its workers before it returns.
+// layout, worker count), with the context's presplit builds as its resident
+// epoch: warm runs from new sources fork nothing, a new Δ re-forks once, a
+// switch back to a cached Δ ships it instead, a local run leaves the pool
+// alone, a new K builds a new pool, and a context-free call stops its
+// workers before it returns.
 
 /// Distances and every counter but the wire ones.
 void expect_same_sssp(const sssp::DeltaSteppingResult& got,
@@ -742,6 +749,151 @@ TEST(PoolResidency, ContextFreeDeltaSteppingStopsItsWorkers) {
   EXPECT_FALSE(no_children());
   ctx.clear();
   EXPECT_TRUE(no_children());
+}
+
+/// The resident sssp pool of `ctx`, or nullptr.
+PoolTransport* sssp_pool(exec::Context& ctx) {
+  return dynamic_cast<PoolTransport*>(ctx.round_buffers().transport.get());
+}
+
+TEST(PoolResidency, LocalSsspLeavesTheResidentPoolAlone) {
+  const Graph g = test::make_family(Family::kGnmUniform, 150, 42);
+  sssp::DeltaSteppingOptions lo;
+  lo.partition.num_partitions = 4;
+  sssp::DeltaSteppingOptions po = lo;
+  po.transport = pool_opts(2);
+  exec::Context ctx;
+  exec::Context ref_ctx;
+  const auto ref = sssp::delta_stepping(g, 0, lo, &ref_ctx);
+  for (int pair = 0; pair < 2; ++pair) {
+    SCOPED_TRACE(testing::Message() << "pair " << pair);
+    const auto pooled = sssp::delta_stepping(g, 0, po, &ctx);
+    expect_same_sssp(pooled, ref);
+    EXPECT_EQ(pooled.processes_used, 2u);
+    PoolTransport* pool = sssp_pool(ctx);
+    ASSERT_NE(pool, nullptr);
+    EXPECT_EQ(pool->spawns(), 2u);
+    const auto local = sssp::delta_stepping(g, 0, lo, &ctx);
+    EXPECT_EQ(local.stats, ref.stats);  // no wire traffic: in-process
+    EXPECT_EQ(local.dist, ref.dist);
+    EXPECT_EQ(local.processes_used, 1u);
+    EXPECT_EQ(sssp_pool(ctx), pool);  // still resident
+    EXPECT_EQ(pool->spawns(), 2u);
+  }
+}
+
+// Once the workers' snapshot holds both presplits, a switch of Δ ships the
+// new Δ in the first superstep's input frames instead of re-forking.
+TEST(PoolResidency, DeltaSwitchShipsDeltaAndKeepsWorkers) {
+  const Graph g = test::make_family(Family::kMeshUniform, 300, 5);
+  sssp::DeltaSteppingOptions lo;
+  lo.partition.num_partitions = 4;
+  sssp::DeltaSteppingOptions po = lo;
+  po.transport = pool_opts(2);
+  sssp::DeltaSteppingOptions lo2 = lo;
+  sssp::DeltaSteppingOptions po2 = po;
+  lo2.delta = po2.delta = 0.5 * g.avg_weight();
+  exec::Context ctx;
+  exec::Context local_ctx;
+  const auto ref1 = sssp::delta_stepping(g, 7, lo, &local_ctx);
+  const auto ref2 = sssp::delta_stepping(g, 7, lo2, &local_ctx);
+
+  const auto first1 = sssp::delta_stepping(g, 7, po, &ctx);
+  const auto first2 = sssp::delta_stepping(g, 7, po2, &ctx);  // a build
+  PoolTransport* pool = sssp_pool(ctx);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->spawns(), 4u);  // the second presplit re-forked once
+  expect_same_sssp(first1, ref1);
+  expect_same_sssp(first2, ref2);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    const auto again1 = sssp::delta_stepping(g, 7, po, &ctx);
+    const auto again2 = sssp::delta_stepping(g, 7, po2, &ctx);
+    expect_same_sssp(again1, ref1);
+    expect_same_sssp(again2, ref2);
+    // The switching run ships 8 bytes of Δ per shard, once.
+    EXPECT_EQ(again1.stats.wire_bytes, first1.stats.wire_bytes + 4 * 8);
+    EXPECT_EQ(again2.stats.wire_bytes, first2.stats.wire_bytes + 4 * 8);
+    EXPECT_EQ(again1.stats.wire_messages, first1.stats.wire_messages);
+  }
+  EXPECT_EQ(pool->spawns(), 4u);
+  EXPECT_EQ(pool->restarts(), 0u);
+  // The same Δ twice in a row ships nothing extra.
+  EXPECT_EQ(sssp::delta_stepping(g, 7, po2, &ctx).stats, first2.stats);
+}
+
+// ---------------------------------------------------------------------------
+// Waiting for a superstep: both sides of a worker socket poll for a bounded
+// time before they block, but only when every worker and every thread of
+// the coordinator's OpenMP team can hold a CPU. A thread pinned to one CPU
+// blocks at once, with the same output.
+
+TEST(PoolWaits, PinnedToOneCpuTakesTheBlockingPath) {
+  const Graph g = test::make_family(Family::kGnmUniform, 200, 13);
+  sssp::DeltaSteppingOptions lo;
+  lo.partition.num_partitions = 4;
+  sssp::DeltaSteppingOptions po = lo;
+  po.transport = pool_opts(2);
+  const auto local = sssp::delta_stepping(g, 0, lo);
+  // A one-thread team: 2 workers + 1 thread fit a box of 3 or more CPUs,
+  // so there the unpinned pool spins. Run it first: OpenMP threads started
+  // while pinned would stay on the one CPU.
+  const int team = omp_get_max_threads();
+  omp_set_num_threads(1);
+  exec::Context spin_ctx;
+  const auto spun = sssp::delta_stepping(g, 0, po, &spin_ctx);
+  ASSERT_NE(sssp_pool(spin_ctx), nullptr);
+  EXPECT_EQ(sssp_pool(spin_ctx)->spin_waits(), util::net::usable_cpus() >= 3);
+
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);  // this thread only
+  EXPECT_EQ(util::net::usable_cpus(), 1u);
+  exec::Context pinned_ctx;
+  const auto blocked = sssp::delta_stepping(g, 0, po, &pinned_ctx);
+  const bool pinned_spins = sssp_pool(pinned_ctx)->spin_waits();
+  pinned_ctx.clear();  // reap the pinned workers before unpinning
+  ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
+  omp_set_num_threads(team);
+
+  EXPECT_FALSE(pinned_spins);
+  expect_same_sssp(spun, local);
+  EXPECT_EQ(blocked.dist, spun.dist);
+  EXPECT_EQ(blocked.stats, spun.stats);  // wire counters included
+  EXPECT_EQ(blocked.buckets_processed, spun.buckets_processed);
+}
+
+// ---------------------------------------------------------------------------
+// Worker exits: a reaped worker that exited nonzero, died by a signal or
+// needed the SIGKILL escalation counts in PoolTotals::unclean_exits; a
+// clean 'Q' shutdown adds nothing.
+
+TEST(PoolLifecycle, UncleanExitsCountKilledWorkersOnly) {
+  const Graph g = test::make_family(Family::kGnmUniform, 150, 42);
+  sssp::DeltaSteppingOptions po;
+  po.partition.num_partitions = 4;
+  po.transport = pool_opts(2);
+  exec::Context ctx;
+  (void)sssp::delta_stepping(g, 0, po, &ctx);
+  PoolTransport* pool = sssp_pool(ctx);
+  ASSERT_NE(pool, nullptr);
+
+  const std::uint64_t before = pool_totals().unclean_exits;
+  pool->shutdown();
+  EXPECT_EQ(pool_totals().unclean_exits, before);  // a clean shutdown
+
+  (void)sssp::delta_stepping(g, 0, po, &ctx);  // a fresh wave
+  const pid_t victim = pool->worker_pid(1);
+  ASSERT_GT(victim, 0);
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  pool->shutdown();
+  EXPECT_EQ(pool_totals().unclean_exits, before + 1);
+  EXPECT_EQ(pool->restarts(), 0u);
 }
 
 // ---------------------------------------------------------------------------
