@@ -39,7 +39,6 @@
 #include "mr/partition.hpp"    // IWYU pragma: export
 #include "mr/stats.hpp"        // IWYU pragma: export
 #include "mr/transport.hpp"    // IWYU pragma: export
-#include "sssp/bellman_ford.hpp"    // IWYU pragma: export
 #include "sssp/delta_stepping.hpp"  // IWYU pragma: export
 #include "sssp/dijkstra.hpp"   // IWYU pragma: export
 #include "sssp/sweep.hpp"      // IWYU pragma: export

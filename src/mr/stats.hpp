@@ -50,7 +50,7 @@ struct RoundStats {
   /// mode-mix reports: they move with the engine's thresholds while the
   /// work counters above do not, so parity suites compare those
   /// field-by-field and pin these two separately (tests/test_frontier.cpp).
-  /// Kernels outside the engine (Bellman–Ford, Dijkstra) leave both 0.
+  /// Kernels outside the engine (Dijkstra) leave both 0.
   std::uint64_t sparse_rounds = 0;
   std::uint64_t dense_rounds = 0;
 

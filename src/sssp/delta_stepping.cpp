@@ -102,7 +102,6 @@ bool RoundBuffers::stamp_once(NodeId v) {
 
 mr::Transport& RoundBuffers::transport_for(const mr::Partition& part,
                                            std::uint32_t processes,
-                                           Weight delta,
                                            std::uint64_t split_builds) {
   if (transport == nullptr || transport_part != &part ||
       transport_processes != processes) {
@@ -112,11 +111,9 @@ mr::Transport& RoundBuffers::transport_for(const mr::Partition& part,
         part.num_partitions());
     transport_part = &part;
     transport_processes = processes;
-    workers_delta = delta;  // they fork at the first superstep
     pool_split_builds = split_builds;
   } else if (split_builds != pool_split_builds) {
     ++pool_epoch;  // the pool respawns them at the first superstep
-    workers_delta = delta;
     pool_split_builds = split_builds;
   }
   return *transport;
@@ -125,6 +122,12 @@ mr::Transport& RoundBuffers::transport_for(const mr::Partition& part,
 void RoundBuffers::drop_transport() noexcept {
   transport.reset();
   transport_part = nullptr;
+}
+
+Weight default_delta(const Graph& g) noexcept {
+  const Weight w = g.avg_weight();
+  if (w <= 0.0) return 1.0;  // edgeless graph: any value works
+  return std::max(w, kDefaultDeltaArcs * g.min_weight());
 }
 
 DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
@@ -142,8 +145,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   rb.reset(n, opts.frontier);
 
   DeltaSteppingResult out;
-  Weight delta = opts.delta > 0.0 ? opts.delta : g.avg_weight();
-  if (delta <= 0.0) delta = 1.0;  // edgeless graph: any value works
+  const Weight delta = opts.delta > 0.0 ? opts.delta : default_delta(g);
   out.delta_used = delta;
 
   std::vector<std::uint64_t>& dist_bits = rb.dist_bits;
@@ -158,6 +160,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     return static_cast<std::uint64_t>(d / delta);
   };
 
+  const bool has_heavy = delta < g.max_weight();
   const std::size_t span =
       static_cast<std::size_t>(std::ceil(g.max_weight() / delta)) + 3;
   Buckets buckets(rb.bucket_slots, rb.bucket_queued, span, n);
@@ -184,7 +187,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     rb.pool_splits = &C.shard_splits_for(g, opts.partition, delta);
     if (opts.transport.kind == mr::TransportKind::kPool) {
       bsp.emplace(*part, &rb.transport_for(*part, opts.transport.processes,
-                                           delta, C.shard_split_builds()));
+                                           C.shard_split_builds()));
     } else {
       bsp.emplace(*part);  // the engine's own LocalTransport
     }
@@ -217,22 +220,27 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   //     moves whenever the context has built a presplit since;
   //   - the per-phase inputs shipped into stable RoundBuffers storage
   //     through the StepInputCodec: the frontier pairs routed to each shard
-  //     (`by_shard`), the phase's edge class (`pool_kind`) and, on a run
-  //     at a Δ the workers do not hold, that Δ (`pool_delta`), whose
-  //     presplit the decoder looks up into `pool_splits`.
+  //     (`by_shard`), the phase's edge class (`pool_kind`) and, in the
+  //     run's first superstep, its Δ (`pool_delta`), whose presplit the
+  //     decoder looks up into `pool_splits`.
   // Nothing else from the frame of a later call reaches a worker.
   const bool remote = bsp && bsp->remote_compute();
   mr::StepInputCodec pool_codec;
+  // Every run ships its Δ in its first superstep's input frames, whatever
+  // Δ the workers held before, so its wire bytes are a function of the run
+  // alone. Only the coordinator encodes, so the flag is a local of this
+  // call, not a RoundBuffers slot.
+  bool ship_delta = true;
   if (remote) {
     pool_codec.epoch = rb.pool_epoch;
     // Input frame, per shard: [u8 edge_kind | kShipsDelta][f64 Δ, only with
     // kShipsDelta][FrontierEntry records...].
     constexpr std::uint8_t kShipsDelta = 0x80;
-    pool_codec.encode = [&rb](mr::ShardId s, std::vector<std::byte>& buf) {
-      const bool ship = rb.pool_delta != rb.workers_delta;
-      buf.push_back(
-          static_cast<std::byte>(rb.pool_kind | (ship ? kShipsDelta : 0)));
-      if (ship) {
+    pool_codec.encode = [&rb, &ship_delta](mr::ShardId s,
+                                           std::vector<std::byte>& buf) {
+      buf.push_back(static_cast<std::byte>(rb.pool_kind |
+                                           (ship_delta ? kShipsDelta : 0)));
+      if (ship_delta) {
         const auto* d = reinterpret_cast<const std::byte*>(&rb.pool_delta);
         buf.insert(buf.end(), d, d + sizeof rb.pool_delta);
       }
@@ -375,8 +383,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     bsp->superstep(rb.exchange, compute, apply, &out.stats,
                    std::span<std::uint64_t>(rb.shard_messages.data(), k),
                    remote ? &pool_codec : nullptr);
-    // Every worker now holds this run's Δ: shipped, or forked with it.
-    if (remote) rb.workers_delta = rb.pool_delta;
+    ship_delta = false;  // every worker now holds this run's Δ
 
     for (std::uint32_t s = 0; s < k; ++s) {
       out.stats.messages += rb.shard_messages[s];
@@ -447,7 +454,10 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
       }
     }
 
-    if (!rb.settled.empty()) {
+    // With Δ at or above the heaviest edge every arc is light (light is
+    // w <= Δ): a heavy phase would relax nothing, so it is not run, and
+    // neither its superstep nor its round is charged.
+    if (has_heavy && !rb.settled.empty()) {
       const auto& changed = relax(snapshot(rb.settled), EdgeKind::kHeavy);
       for (const NodeId v : changed) {
         buckets.push(v, bucket_of(dist_of(v)));

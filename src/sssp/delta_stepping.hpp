@@ -8,11 +8,12 @@
 // Tentative distances live in buckets of width Δ. The smallest nonempty
 // bucket is repeatedly emptied with *light*-edge (w ≤ Δ) relaxation phases
 // until it stabilizes, then all nodes settled in it relax their *heavy*
-// edges once. Small Δ approaches Dijkstra (little work, many rounds); large
-// Δ approaches Bellman–Ford (few rounds, much work).
+// edges once — unless Δ is at least the heaviest edge, when no arc is heavy
+// and the heavy phase is skipped. Small Δ approaches Dijkstra (little work,
+// many rounds); large Δ approaches Bellman–Ford (few rounds, much work).
 //
-// MR accounting (mr/stats.hpp): each light/heavy relaxation phase counts as
-// one relaxation round, each bucket-selection scan as one auxiliary round;
+// MR accounting (mr/stats.hpp): each light/heavy relaxation phase run counts
+// as one relaxation round, each bucket-selection scan as one auxiliary round;
 // messages = relaxation requests, node updates = accepted improvements.
 
 // With partition.num_partitions > 1 every relaxation phase runs as one BSP
@@ -58,7 +59,7 @@ namespace gdiam::sssp {
 /// exec::ExecOptions, the single definition every gdiam kernel shares
 /// (DESIGN.md §8).
 struct DeltaSteppingOptions : exec::ExecOptions {
-  /// Bucket width; 0 selects the common heuristic Δ = avg edge weight.
+  /// Bucket width; 0 (or any value <= 0) selects default_delta(g).
   Weight delta = 0.0;
   /// Cap on light-phase iterations per bucket (safety valve; 0 = unlimited).
   std::uint64_t max_phases_per_bucket = 0;
@@ -86,6 +87,20 @@ struct FrontierEntry {
 };
 static_assert(sizeof(FrontierEntry) == 16);
 static_assert(std::is_trivially_copyable_v<FrontierEntry>);
+
+/// The most arcs a light path may span at the default Δ: a path of weight
+/// at most Δ = C · w_min has at most C arcs (DESIGN.md §3).
+inline constexpr double kDefaultDeltaArcs = 12.0;
+
+/// The bucket width a run with `delta <= 0` uses: Δ = max(w̄, C · w_min),
+/// with C = kDefaultDeltaArcs; 1 on an edgeless graph. A pure function of
+/// the graph's mean and lightest edge weights — an owned graph and its
+/// mmap'd .gcsr give the same double. Where no arc is much lighter than
+/// the mean (a road, a mesh, unit weights) the bucket widens until a light
+/// path spans C arcs, merging near-empty buckets, each one a superstep, at
+/// the cost of a few re-relaxed arcs. Where some arc is lighter than
+/// w̄ / C (uniform random weights) Δ = w̄ bit for bit.
+[[nodiscard]] Weight default_delta(const Graph& g) noexcept;
 
 /// Per-run pool of round-lifetime scratch: everything a Δ-stepping run
 /// touches once per bucket or phase — tentative distances, cyclic bucket
@@ -129,10 +144,6 @@ struct RoundBuffers {
   std::uint8_t pool_kind = 0;
   Weight pool_delta = 0.0;
   const std::vector<CsrSplit>* pool_splits = nullptr;
-  /// The Δ the resident workers hold. A run at another Δ ships its Δ in
-  /// the input frames of its first superstep, and each worker looks the
-  /// presplit up in its snapshot of the context cache.
-  Weight workers_delta = 0.0;
   /// The context's presplit build count when the workers last (re)forked,
   /// and the runs' StepInputCodec::epoch: a build since then may be a
   /// presplit the workers' snapshot lacks, so the epoch moves and the pool
@@ -143,14 +154,13 @@ struct RoundBuffers {
   /// Rebinds the pool to an n-vertex run, keeping every buffer's capacity.
   void reset(NodeId n, const core::FrontierOptions& opts);
 
-  /// The pool transport for a run on `part` with `processes` workers at
-  /// bucket width `delta`, after the context has built `split_builds`
-  /// shard presplits: the resident one while (part, processes) match the
-  /// key it was built for, else a new one (the old pool's workers stop
-  /// first). Bumps pool_epoch when `split_builds` moved since the workers
-  /// forked.
+  /// The pool transport for a run on `part` with `processes` workers,
+  /// after the context has built `split_builds` shard presplits: the
+  /// resident one while (part, processes) match the key it was built for,
+  /// else a new one (the old pool's workers stop first). Bumps pool_epoch
+  /// when `split_builds` moved since the workers forked.
   mr::Transport& transport_for(const mr::Partition& part,
-                               std::uint32_t processes, Weight delta,
+                               std::uint32_t processes,
                                std::uint64_t split_builds);
   /// Stops and drops the resident transport (its workers included).
   void drop_transport() noexcept;

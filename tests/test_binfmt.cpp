@@ -287,6 +287,22 @@ TEST_F(BinfmtTest, RoundTripIsBitIdenticalForEveryFamily) {
   }
 }
 
+// The default Δ reads only persisted stats (mean and lightest weight), so a
+// mapped graph resolves the same double as the graph it was written from:
+// `gdiam stats` on a .gcsr prints the Δ a server of that file runs at.
+TEST_F(BinfmtTest, MappedGraphHasTheOwnedGraphsDefaultDelta) {
+  int i = 0;
+  for (const test::Family f : test::all_families()) {
+    SCOPED_TRACE(test::family_name(f));
+    const Graph g = test::make_family(f, 120, 61 + i++);
+    const std::string p = path(std::string("dd_") + test::family_name(f) +
+                               ".gcsr");
+    write_gcsr(g, p);
+    const MappedGraph m = open_mmap(p);
+    EXPECT_EQ(sssp::default_delta(m.graph()), sssp::default_delta(g));
+  }
+}
+
 TEST_F(BinfmtTest, RoundTripsDegenerateGraphs) {
   for (const NodeId n : {NodeId{0}, NodeId{1}, NodeId{3}}) {
     SCOPED_TRACE(n);

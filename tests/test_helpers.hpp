@@ -520,17 +520,18 @@ struct DeltaReference {
 /// queued marker per node (a node re-queued into the bucket it already sits
 /// in is not added twice; draining forgets the marker), light phases until
 /// the current bucket stays empty or `max_phases_per_bucket` fires, then one
-/// heavy phase from every node settled in the bucket. Each phase relaxes
-/// from distances snapshotted at phase start; a node improved several times
-/// in one phase is one update. `delta` 0 picks the average edge weight, as
-/// the kernel does.
+/// heavy phase from every node settled in the bucket, unless Δ is at least
+/// the heaviest edge weight (then there is no heavy arc and no heavy
+/// phase). Each phase relaxes from distances snapshotted at phase start; a
+/// node improved several times in one phase is one update. `delta` 0 picks
+/// sssp::default_delta, as the kernel does (DeltaStepping.DefaultDelta* pin
+/// that function itself).
 inline DeltaReference reference_delta_stepping(
     const Graph& g, NodeId source, Weight delta = 0.0,
     const mr::Partition* part = nullptr,
     std::uint64_t max_phases_per_bucket = 0) {
   const NodeId n = g.num_nodes();
-  if (delta <= 0.0) delta = g.avg_weight();
-  if (delta <= 0.0) delta = 1.0;
+  if (delta <= 0.0) delta = sssp::default_delta(g);
   DeltaReference out;
   out.dist.assign(n, kInfiniteWeight);
   out.dist[source] = 0.0;
@@ -612,7 +613,7 @@ inline DeltaReference reference_delta_stepping(
         break;
       }
     }
-    if (!settled.empty()) {
+    if (delta < g.max_weight() && !settled.empty()) {  // else no heavy arc
       for (const NodeId v : relax(settled, /*light=*/false)) {
         push(v, bucket_of(out.dist[v]));
       }

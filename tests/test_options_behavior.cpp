@@ -27,6 +27,7 @@ TEST(DeltaSteppingDetails, ExplicitDeltaIsUsedVerbatim) {
   const Graph g = gen::path(50);
   sssp::DeltaSteppingOptions o;
   o.delta = 7.5;
+  ASSERT_NE(sssp::default_delta(g), 7.5);
   EXPECT_DOUBLE_EQ(sssp::delta_stepping(g, 0, o).delta_used, 7.5);
 }
 

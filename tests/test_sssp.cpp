@@ -1,6 +1,6 @@
 // Tests for the SSSP substrate: Dijkstra against brute-force APSP, parallel
-// Δ-stepping and Bellman–Ford against Dijkstra (parameterized sweeps over
-// graph families, seeds, Δ choices and shard counts), eccentricities, sweep
+// Δ-stepping against Dijkstra (parameterized sweeps over graph families,
+// seeds, Δ choices and shard counts), the default Δ, eccentricities, sweep
 // lower bounds.
 
 #include <gtest/gtest.h>
@@ -11,9 +11,9 @@
 #include "exec/context.hpp"
 #include "gen/basic.hpp"
 #include "gen/mesh.hpp"
+#include "gen/road.hpp"
 #include "gen/weights.hpp"
 #include "graph/builder.hpp"
-#include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sweep.hpp"
@@ -155,10 +155,69 @@ INSTANTIATE_TEST_SUITE_P(
              "_d" + std::to_string(pct);
     });
 
-TEST(DeltaStepping, AutoDeltaUsesAverageWeight) {
-  const Graph g = test::make_family(Family::kGnmUniform, 100, 19);
-  const DeltaSteppingResult r = delta_stepping(g, 0, {});
-  EXPECT_DOUBLE_EQ(r.delta_used, g.avg_weight());
+// The default bucket width is Δ = max(w̄, C · w_min), C = kDefaultDeltaArcs
+// (DESIGN.md §3).
+TEST(DeltaStepping, DefaultDeltaWidensOnUnitWeights) {
+  for (const Graph& g : {gen::path(50), gen::mesh(20)}) {  // w̄ = w_min = 1
+    EXPECT_EQ(default_delta(g), kDefaultDeltaArcs);
+    EXPECT_EQ(delta_stepping(g, 0, {}).delta_used, kDefaultDeltaArcs);
+  }
+}
+
+TEST(DeltaStepping, DefaultDeltaWidensOnARoad) {
+  util::Xoshiro256 rng(4);
+  const Graph g = gen::road_network(20, 20, rng);  // Euclidean weights
+  ASSERT_GT(kDefaultDeltaArcs * g.min_weight(), g.avg_weight());
+  EXPECT_EQ(default_delta(g), kDefaultDeltaArcs * g.min_weight());
+  EXPECT_EQ(delta_stepping(g, 0, {}).delta_used, default_delta(g));
+}
+
+// Uniform random weights have arcs far lighter than w̄ / C, so the default
+// stays the average weight, on a sparse mesh as on a dense R-MAT.
+TEST(DeltaStepping, DefaultDeltaIsTheAverageWeightUnderUniformWeights) {
+  util::Xoshiro256 rng(5);
+  for (const Graph& g : {gen::uniform_weights(gen::mesh(20), 3),
+                         gen::uniform_weights(gen::rmat(10, 48, rng), 6)}) {
+    ASSERT_LT(kDefaultDeltaArcs * g.min_weight(), g.avg_weight());
+    EXPECT_EQ(default_delta(g), g.avg_weight());  // bit for bit
+    EXPECT_EQ(delta_stepping(g, 0, {}).delta_used, g.avg_weight());
+  }
+}
+
+TEST(DeltaStepping, DefaultDeltaOfAnEdgelessGraphIsOne) {
+  EXPECT_EQ(default_delta(build_graph(25, {})), 1.0);
+  EXPECT_EQ(default_delta(Graph{}), 1.0);
+  EXPECT_EQ(delta_stepping(build_graph(25, {}), 3, {}).delta_used, 1.0);
+}
+
+TEST(DeltaStepping, ExplicitDeltaOverridesTheDefault) {
+  const Graph g = gen::mesh(20);  // the default widens to C · w_min here
+  for (const Weight delta : {0.25 * g.avg_weight(), g.avg_weight()}) {
+    ASSERT_NE(delta, default_delta(g));
+    DeltaSteppingOptions o;
+    o.delta = delta;
+    EXPECT_EQ(delta_stepping(g, 0, o).delta_used, delta);
+  }
+  DeltaSteppingOptions negative;
+  negative.delta = -2.0;  // <= 0 selects the default, as 0 does
+  EXPECT_EQ(delta_stepping(g, 0, negative).delta_used, default_delta(g));
+}
+
+// Light is w <= Δ: at Δ >= the heaviest edge no arc is heavy, so a bucket
+// runs no heavy phase (it would relax nothing) and charges no round for it.
+TEST(DeltaStepping, NoHeavyPhaseWhenEveryArcIsLight) {
+  const Graph g = gen::path(4);  // unit weights, buckets 0..3 from node 0
+  DeltaSteppingOptions at_max;
+  at_max.delta = 1.0;
+  const DeltaSteppingResult all_light = delta_stepping(g, 0, at_max);
+  EXPECT_EQ(all_light.buckets_processed, 4u);
+  EXPECT_EQ(all_light.stats.relaxation_rounds, 4u);  // one light phase each
+  DeltaSteppingOptions below;
+  below.delta = 0.999;  // every arc heavy: a light and a heavy phase each
+  const DeltaSteppingResult all_heavy = delta_stepping(g, 0, below);
+  EXPECT_EQ(all_heavy.buckets_processed, 4u);
+  EXPECT_EQ(all_heavy.stats.relaxation_rounds, 8u);
+  EXPECT_EQ(all_light.dist, all_heavy.dist);
 }
 
 TEST(DeltaStepping, BadSourceThrows) {
@@ -236,40 +295,6 @@ TEST(DeltaStepping, DeterministicAcrossRuns) {
   EXPECT_EQ(a.dist, b.dist);
   EXPECT_EQ(a.stats.messages, b.stats.messages);
   EXPECT_EQ(a.stats.rounds(), b.stats.rounds());
-}
-
-TEST(BellmanFord, MatchesDijkstraOnFamilies) {
-  for (const Family f : test::all_families()) {
-    const Graph g = test::make_family(f, 150, 37);
-    const auto ref = dijkstra_distances(g, 2);
-    const BellmanFordResult r = bellman_ford(g, 2);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (ref[u] == kInfiniteWeight) {
-        EXPECT_EQ(r.dist[u], kInfiniteWeight);
-      } else {
-        EXPECT_NEAR(r.dist[u], ref[u], 1e-9 * (1.0 + ref[u]))
-            << test::family_name(f) << " node " << u;
-      }
-    }
-  }
-}
-
-TEST(BellmanFord, PhasesAreHopEccentricityPlusOne) {
-  // 63 phases reach node 63; one final phase discovers the fixpoint.
-  const Graph g = gen::path(64);
-  const BellmanFordResult r = bellman_ford(g, 0);
-  EXPECT_EQ(r.phases, 64u);
-}
-
-TEST(BellmanFord, PhasesCanExceedHopsWithWeights) {
-  // Heavy direct edge, light long way around: relaxations revisit nodes.
-  GraphBuilder b(4);
-  b.add_edge(0, 3, 10.0);
-  b.add_edge(0, 1, 1.0);
-  b.add_edge(1, 2, 1.0);
-  b.add_edge(2, 3, 1.0);
-  const BellmanFordResult r = bellman_ford(b.build(), 0);
-  EXPECT_DOUBLE_EQ(r.dist[3], 3.0);
 }
 
 TEST(Sweep, LowerBoundNeverExceedsDiameter) {

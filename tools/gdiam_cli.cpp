@@ -67,8 +67,12 @@ and for every family seed [1] and weights=keep|unit|uniform|int|bimodal
 Delta-presplit layout for each listed Delta, and --verify re-opens the file
 and checks it bit for bit against IN.
 
-sssp runs Delta-stepping (Meyer-Sanders buckets of width --delta, 0 = the
-average edge weight); distances are exact.
+sssp runs Delta-stepping (Meyer-Sanders buckets of width --delta); distances
+are exact. --delta 0, the default, picks max(avg_weight, 12 * min_weight):
+a bucket spanning up to 12 of the lightest edges where no edge is much
+lighter than the average (roads, meshes, unit weights), else the average
+edge weight. stats prints that width as "sssp delta:", to the last digit,
+for convert --presplit.
 
 --partitions K > 1 runs the kernels on the sharded BSP engine (K shards,
 hash partitioner unless --range-partition) and reports the cross-partition
@@ -224,6 +228,7 @@ int cmd_stats(const util::Options& o) {
               static_cast<unsigned long long>(deg.max));
   std::printf("weights:     min %g, avg %g, max %g\n", g.min_weight(),
               g.avg_weight(), g.max_weight());
+  std::printf("sssp delta:  %.17g\n", sssp::default_delta(g));
   const Graph giant = cc.count > 1 ? largest_component(g).graph : g;
   std::printf("diameter:    >= %.6g (weighted, %u sweeps, giant component)\n",
               sssp::diameter_lower_bound(giant, sweeps, 1).lower_bound,
